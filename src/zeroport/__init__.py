@@ -51,8 +51,6 @@ from .patterns import (
     Partition,
     PatternAgents,
     agent_grid,
-    anti_bcrp_controls,
-    generate_agent_controls,
     gyorfi_match_count,
     make_partitions,
     match,
@@ -60,6 +58,6 @@ from .patterns import (
 )
 from .baselines import SimplexGrid, best_agent, best_stock, universal_portfolio
 from .ksstats import KsResult, RunTriple, cross_case_comparison, hypothesis_battery, ks_two_sample
-from .synth import SynthSpec, batch as synth_batch, generate as synth_generate, lognormal_params
+from .synth import SynthSpec, generate as synth_generate, lognormal_params
 
 __version__ = "0.1.0"

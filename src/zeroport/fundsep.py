@@ -73,12 +73,14 @@ def regularize(sigma, eps: float = DEFAULT_RIDGE, assume_deficient=None):
     return s
 
 
-def _fund_solves(sigma, mu, eps, assume_deficient=None):
+def fund_solution(mu, sigma, eps: float = DEFAULT_RIDGE, assume_deficient=None):
     """Solve Sigma x = 1 and Sigma y = mu on the regularized covariance.
 
     Returns ``(a, b)`` with ``a = Sigma^-1 1`` and ``b = Sigma^-1 mu``
-    (``b`` is None when ``mu`` is None).  Shared by every public op so the
-    scalar API and the batched agent path produce identical numbers.
+    (``b`` is None when ``mu`` is None).  Every public op goes through it,
+    so the scalar API and the batched agent path produce identical numbers;
+    backtest engines call it once per agent batch and derive absolute and
+    active controls from the same solves via :func:`controls_from_solution`.
     """
     s = regularize(sigma, eps, assume_deficient=assume_deficient)
     m = s.shape[-1]
@@ -101,15 +103,6 @@ def _fund_solves(sigma, mu, eps, assume_deficient=None):
     if mu is None:
         return x[..., 0], None
     return x[..., 0], x[..., 1]
-
-
-def fund_solution(mu, sigma, eps: float = DEFAULT_RIDGE, assume_deficient=None):
-    """Batched plumbing: (Sigma^-1 1, Sigma^-1 mu) on the regularized Sigma.
-
-    Backtest engines call this once per agent batch and derive absolute and
-    active controls from the same solves via :func:`controls_from_solution`.
-    """
-    return _fund_solves(sigma, mu, eps, assume_deficient=assume_deficient)
 
 
 def _unit_leverage(w):
@@ -154,7 +147,7 @@ def benchmark_weights(sigma, eps: float = DEFAULT_RIDGE):
     Entries sum to one but may be negative; projection onto the simplex is
     the caller's concern (see :func:`agent_controls`).
     """
-    a, _ = _fund_solves(sigma, None, eps)
+    a, _ = fund_solution(None, sigma, eps)
     return a / a.sum(axis=-1, keepdims=True)
 
 
@@ -162,7 +155,7 @@ def active_weights(mu, sigma, gamma: float = 1.0, eps: float = DEFAULT_RIDGE):
     """Self-funding fund w_A; entries sum to zero by construction."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    a, b = _fund_solves(sigma, mu, eps)
+    a, b = fund_solution(mu, sigma, eps)
     lam = b.sum(axis=-1, keepdims=True) / a.sum(axis=-1, keepdims=True)
     return (b - a * lam) / gamma
 
@@ -174,14 +167,14 @@ def lagrange_multiplier(mu, sigma, gamma: float = 1.0, eps: float = DEFAULT_RIDG
     the stationarity condition gamma Sigma w* = mu - lambda 1 recovers
     ``benchmark_weights + active_weights`` exactly.
     """
-    a, b = _fund_solves(sigma, mu, eps)
+    a, b = fund_solution(mu, sigma, eps)
     sa = a.sum(axis=-1)
     return b.sum(axis=-1) / sa - gamma / sa
 
 
 def mean_variance_weights(mu, sigma, gamma: float = 1.0, eps: float = DEFAULT_RIDGE):
     """Unconstrained-sign optimum w* = w_B + w_A of the quadratic problem."""
-    a, b = _fund_solves(sigma, mu, eps)
+    a, b = fund_solution(mu, sigma, eps)
     sa = a.sum(axis=-1, keepdims=True)
     lam = b.sum(axis=-1, keepdims=True) / sa
     return a / sa + (b - a * lam) / gamma
@@ -237,7 +230,7 @@ def agent_controls(
     per-period gamma choice applies to both cases; ``absolute_tilt="gamma"``
     keeps the raw w_A at the fixed gamma instead.
     """
-    a, b = _fund_solves(sigma, mu, eps)
+    a, b = fund_solution(mu, sigma, eps)
     return controls_from_solution(a, b, mode, gamma=gamma, projection=projection,
                                   absolute_tilt=absolute_tilt)
 

@@ -11,9 +11,7 @@ portfolio controls for period t+1.
 Distances: for k = 1 the score is the Euclidean norm of the one-row
 difference across the cluster's assets (the same scalar for every asset);
 for k > 1 the per-asset score is the window sum of absolute differences,
-and candidate ranking uses the sum of per-asset scores.  A "euclidean"
-metric switch replaces the per-asset window sum with a per-column 2-norm
-for comparison runs.
+and candidate ranking uses the sum of per-asset scores.
 
 Match counts: with a single (trivial) partition either ell-hat = ell
 ("trivial" rule) or ell-hat = floor((0.02 + 0.5 (ell-1)/(L-1)) t)
@@ -36,11 +34,11 @@ log = logging.getLogger(__name__)
 
 MATCH_RULES = ("trivial", "gyorfi_nn")
 PARTITION_KINDS = ("trivial", "overlapping", "exclusive")
-METRICS = ("abs_sum", "euclidean")
 
-# Above this many floats, prefix covariances fall back to per-level passes
-# instead of one cumulative outer-product array.
-_PREFIX_CUMSUM_LIMIT = 65536
+# Periods whose moments are pushed through one stacked fund solve.
+_SOLVE_CHUNK = 64
+
+_NO_ROWS = np.empty(0, dtype=np.intp)
 
 
 class NoMatchError(Exception):
@@ -132,6 +130,26 @@ class Partition:
         return self.masks.shape[0]
 
 
+def _block_bounds(t: int, kind: str, ell: int):
+    """[lo, hi) bounds of the time blocks of a partition kind, in order.
+
+    trivial: the whole history.  overlapping: ell blocks where the i-th
+    covers the most recent ceil(i*t/ell) periods.  exclusive: ell disjoint
+    contiguous blocks covering the history, earlier blocks taking the
+    remainder (the split of ``np.array_split``).
+    """
+    if kind == "trivial":
+        return [(0, t)]
+    if kind == "overlapping":
+        return [(t + (-i * t // ell), t) for i in range(1, ell + 1)]
+    if kind == "exclusive":
+        if ell > t:
+            raise ValueError(f"cannot split {t} periods into {ell} exclusive blocks")
+        q, r = divmod(t, ell)
+        return [(i * q + min(i, r), (i + 1) * q + min(i + 1, r)) for i in range(ell)]
+    raise ValueError(f"unknown partition kind {kind!r}")
+
+
 def make_partitions(t: int, kind: str, ell: int) -> Partition:
     """Build the time partition used by one agent family.
 
@@ -142,23 +160,9 @@ def make_partitions(t: int, kind: str, ell: int) -> Partition:
     """
     if t < 1 or ell < 1:
         raise ValueError("t and ell must be at least 1")
-    if kind == "trivial":
-        return Partition(np.ones((1, t), dtype=bool))
-    if kind == "overlapping":
-        masks = np.zeros((ell, t), dtype=bool)
-        for i in range(1, ell + 1):
-            span = math.ceil(i * t / ell)
-            masks[i - 1, t - span:] = True
-        return Partition(masks)
-    if kind == "exclusive":
-        if ell > t:
-            raise ValueError(f"cannot split {t} periods into {ell} exclusive blocks")
-        masks = np.zeros((ell, t), dtype=bool)
-        bounds = np.array_split(np.arange(t), ell)
-        for i, block in enumerate(bounds):
-            masks[i, block] = True
-        return Partition(masks)
-    raise ValueError(f"unknown partition kind {kind!r}")
+    bounds = np.array(_block_bounds(t, kind, ell))
+    rows = np.arange(t)
+    return Partition((rows >= bounds[:, :1]) & (rows < bounds[:, 1:]))
 
 
 def gyorfi_match_count(ell: int, levels: int, t: int) -> int:
@@ -173,27 +177,22 @@ def gyorfi_match_count(ell: int, levels: int, t: int) -> int:
     return int(math.floor(p * t))
 
 
-def tuple_distance(query, candidate, metric: str = "abs_sum"):
+def tuple_distance(query, candidate):
     """Per-asset distance between two k x m tuples.
 
     k = 1 compares the rows as whole vectors: the Euclidean norm across
     assets, broadcast to every asset position.  k > 1 scores each asset
-    column independently: the window sum of absolute differences
-    ("abs_sum", the default) or the column 2-norm ("euclidean").
+    column independently by the window sum of absolute differences.
     """
     q = np.atleast_2d(np.asarray(query, dtype=float))
     c = np.atleast_2d(np.asarray(candidate, dtype=float))
     if q.shape != c.shape:
         raise ValueError(f"tuple shapes differ: {q.shape} vs {c.shape}")
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
     diff = q - c
     k, m = diff.shape
     if k == 1:
         return np.full(m, float(np.sqrt((diff * diff).sum())))
-    if metric == "abs_sum":
-        return np.abs(diff).sum(axis=0)
-    return np.sqrt((diff * diff).sum(axis=0))
+    return np.abs(diff).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -209,45 +208,22 @@ class MatchResult:
     agent_tuple: np.ndarray
 
 
-def _candidate_scores(xw, k, tau, metric):
-    """Summed candidate scores for every admissible tuple end.
+def _candidate_scores(xw, k, tau):
+    """Ranking score of every admissible candidate tuple.
 
-    Returns (ends, scores) where ends[i] is the 0-based end row of the i-th
-    candidate window and scores[i] its ranking score (sum of per-asset
-    scores for k > 1; the plain Euclidean row distance for k = 1, whose
-    ordering equals the broadcast sum).
+    Candidate i ends at row i + k - 1; its score is the sum of per-asset
+    scores for k > 1 and the plain Euclidean row distance for k = 1, whose
+    ordering equals the broadcast sum.
     """
     t, m = xw.shape
     n = t - tau - k + 1
     if n <= 0:
-        return np.empty(0, dtype=np.intp), np.empty(0)
-    ends = np.arange(k - 1, k - 1 + n)
+        return np.empty(0)
     if k == 1:
         diff = xw[:n] - xw[t - 1]
-        return ends, np.sqrt((diff * diff).sum(axis=1))
+        return np.sqrt((diff * diff).sum(axis=1))
     windows = sliding_window_view(xw[: t - tau], (k, m)).reshape(n, k, m)
-    diff = windows - xw[t - k : t]
-    if metric == "abs_sum":
-        return ends, np.abs(diff).sum(axis=(1, 2))
-    return ends, np.sqrt((diff * diff).sum(axis=1)).sum(axis=1)
-
-
-def _per_asset_scores(xw, k, tau, metric):
-    """(ends, per-asset score matrix) for the independent-columns variant."""
-    t, m = xw.shape
-    n = t - tau - k + 1
-    if n <= 0:
-        return np.empty(0, dtype=np.intp), np.empty((0, m))
-    ends = np.arange(k - 1, k - 1 + n)
-    if k == 1:
-        diff = xw[:n] - xw[t - 1]
-        scalar = np.sqrt((diff * diff).sum(axis=1))
-        return ends, np.repeat(scalar[:, None], m, axis=1)
-    windows = sliding_window_view(xw[: t - tau], (k, m)).reshape(n, k, m)
-    diff = windows - xw[t - k : t]
-    if metric == "abs_sum":
-        return ends, np.abs(diff).sum(axis=1)
-    return ends, np.sqrt((diff * diff).sum(axis=1))
+    return np.abs(windows - xw[t - k : t]).sum(axis=(1, 2))
 
 
 def _clamped_count(rule, ell, levels, t, n_candidates):
@@ -275,56 +251,67 @@ def _stable_smallest(scores, n_smallest):
     return order[:n_smallest]
 
 
-def _partition_best_matches(scores, ends, masks, k, tau, t):
-    """Best candidate end per partition; partitions too short contribute none."""
-    times = []
-    for mask in masks:
-        csum = np.concatenate([[0], np.cumsum(mask.astype(np.intp))])
-        inside = csum[ends + 1] - csum[ends - k + 1] == k
-        if not inside.any():
+def _select(xw, k, tau, ells, rule, partition, levels):
+    """Matched outcome rows of agents that share window k and horizon tau.
+
+    Returns one int array of history rows per entry of ``ells`` (empty = no
+    match).  With the trivial partition each agent takes its ell-hat
+    nearest candidates, all read off one stable partial sort; otherwise
+    each takes the best candidate whose tuple fits inside each of its ell
+    time blocks, earliest index first among ties.
+    """
+    t = xw.shape[0]
+    scores = _candidate_scores(xw, k, tau)
+    n = scores.shape[0]
+    if n == 0:
+        return [_NO_ROWS] * len(ells)
+    shift = k - 1 + tau  # candidate index -> outcome row
+    if partition == "trivial":
+        lhats = [_clamped_count(rule, ell, levels, t, n) for ell in ells]
+        rows = _stable_smallest(scores, max(lhats)) + shift
+        return [rows[:lhat] for lhat in lhats]
+    out = []
+    for ell in ells:
+        try:
+            bounds = _block_bounds(t, partition, ell)
+        except ValueError:
+            out.append(_NO_ROWS)
             continue
-        idx = np.flatnonzero(inside)
-        best = idx[np.argmin(scores[idx])]
-        times.append(ends[best])
-    return np.asarray(times, dtype=np.intp)
+        # Candidate i's tuple covers rows i..i+k-1, so it fits in [lo, hi)
+        # for i in [lo, hi - k + 1).
+        fits = [(lo, min(hi - k + 1, n)) for lo, hi in bounds]
+        best = [a + int(scores[a:b].argmin()) for a, b in fits if a < b]
+        out.append(np.asarray(best, dtype=np.intp) + shift)
+    return out
 
 
 def match(
     features,
     spec: AgentSpec,
-    partition: Partition | None = None,
+    partition: str = "trivial",
     rule: str = "trivial",
     levels: int | None = None,
-    metric: str = "abs_sum",
 ) -> MatchResult:
     """Find matching times for one agent on its cluster-sliced history.
 
-    ``features`` is the (t, m) relatives slice the agent sees.  A single
-    partition selects the ell-hat closest candidates under ``rule``;
-    multiple partitions select the best match in each.  Raises
-    :class:`NoMatchError` when no admissible candidate exists, which
-    callers translate into the fallback control.
+    ``features`` is the (t, m) relatives slice the agent sees.  The trivial
+    partition selects the ell-hat closest candidates under ``rule``; the
+    overlapping and exclusive partitions select the best match in each of
+    the agent's ell time blocks.  This is the engine's selection for a
+    one-agent group.  Raises :class:`NoMatchError` when no admissible
+    candidate exists, which callers translate into the fallback control.
     """
     xw = np.asarray(getattr(features, "values", features), dtype=float)
     if xw.ndim != 2:
         raise ValueError("features must be a (t, m) array")
-    t = xw.shape[0]
-    ends, scores = _candidate_scores(xw, spec.k, spec.tau, metric)
-    if ends.size == 0:
-        raise NoMatchError(f"history of {t} periods admits no (k={spec.k}, tau={spec.tau}) candidate")
-    if partition is None:
-        partition = make_partitions(t, "trivial", 1)
-    if partition.masks.shape[1] != t:
-        raise ValueError("partition length does not match history length")
-    if partition.n_partitions == 1:
-        lhat = _clamped_count(rule, spec.ell, levels if levels is not None else spec.ell, t, ends.size)
-        order = np.argsort(scores, kind="stable")
-        times = ends[order[:lhat]]
-    else:
-        times = _partition_best_matches(scores, ends, partition.masks, spec.k, spec.tau, t)
-        if times.size == 0:
-            raise NoMatchError("no partition admits a candidate tuple")
-    return MatchResult(times=times, agent_tuple=xw[times + spec.tau])
+    if partition not in PARTITION_KINDS:
+        raise ValueError(f"unknown partition kind {partition!r}")
+    levels = levels if levels is not None else spec.ell
+    rows = _select(xw, spec.k, spec.tau, [spec.ell], rule, partition, levels)[0]
+    if rows.size == 0:
+        raise NoMatchError(f"history of {xw.shape[0]} periods admits no "
+                           f"(k={spec.k}, tau={spec.tau}, {partition}) candidate")
+    return MatchResult(times=rows - spec.tau, agent_tuple=xw[rows])
 
 
 def sample_moments(outcomes):
@@ -344,14 +331,32 @@ def sample_moments(outcomes):
     return mu, cov
 
 
+def _prefix_moments(rows, lens):
+    """Moments of (rows[:n] - 1) for every prefix length n in ``lens``.
+
+    An (L, n) prefix-indicator matrix W gives every prefix's sums at once,
+    S1 = W Y and S2 = (W[:, :, None] Y)ᵀ Y in one batched matmul, with the
+    n-1 denominator of :func:`sample_moments`.  Y is taken about the first
+    row, which every prefix holds, so a prefix of identical rows (a single
+    row included) gets an exactly zero covariance.
+    """
+    y = rows - rows[0]
+    lens = np.asarray(lens)
+    counts = lens.astype(float)
+    w = (np.arange(y.shape[0]) < lens[:, None]).astype(float)
+    mus = (w @ y) / counts[:, None]
+    s2 = np.matmul((w[:, :, None] * y).transpose(0, 2, 1), y)
+    covs = (s2 - counts[:, None, None] * mus[:, :, None] * mus[:, None, :]) \
+        / np.maximum(counts - 1.0, 1.0)[:, None, None]
+    return mus + (rows[0] - 1.0), covs
+
+
 @dataclass(frozen=True)
 class MatchConfig:
     """Matching and control-mapping knobs shared by a whole agent family."""
 
     rule: str = "trivial"
     partition: str = "trivial"
-    metric: str = "abs_sum"
-    independent_columns: bool = False
     gamma: float = 1.0
     ridge: float = fundsep.DEFAULT_RIDGE
     projection: str = "euclidean"
@@ -362,8 +367,6 @@ class MatchConfig:
             raise ValueError(f"unknown match rule {self.rule!r}")
         if self.partition not in PARTITION_KINDS:
             raise ValueError(f"unknown partition kind {self.partition!r}")
-        if self.metric not in METRICS:
-            raise ValueError(f"unknown metric {self.metric!r}")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if self.absolute_tilt not in ("unit_leverage", "gamma"):
@@ -396,6 +399,11 @@ class PatternAgents:
                 raise ValueError(f"{spec} references missing cluster")
             if spec.ell > self.levels:
                 raise ValueError(f"{spec} exceeds levels={self.levels}")
+        self._cols = [np.asarray(cols, dtype=np.intp) for cols in self.clusters.members]
+        # Per cluster, the agents sharing (tau, k) as lists of (index, spec).
+        self._groups = [{} for _ in self._cols]
+        for i, spec in enumerate(self.specs):
+            self._groups[spec.cluster].setdefault((spec.tau, spec.k), []).append((i, spec))
         self._fallbacks = 0
 
     @property
@@ -416,98 +424,16 @@ class PatternAgents:
         indices (empty = no match).
         """
         cfg = self.config
-        t = xw.shape[0]
         tau, k = group[0][1].tau, group[0][1].k
-        if cfg.independent_columns and cfg.partition == "trivial":
-            return self._independent_selections(xw, group)
-        ends, scores = _candidate_scores(xw, k, tau, cfg.metric)
-        selections = []
-        if ends.size == 0:
-            return [np.empty(0, dtype=np.intp) for _ in group]
-        if cfg.partition == "trivial":
-            lhats = [_clamped_count(cfg.rule, spec.ell, self.levels, t, ends.size)
-                     for _, spec in group]
-            order = _stable_smallest(scores, max(lhats))
-            sorted_rows = ends[order] + tau
-            for lhat in lhats:
-                selections.append(sorted_rows[:lhat])
-        else:
-            for _, spec in group:
-                try:
-                    masks = make_partitions(t, cfg.partition, spec.ell).masks
-                except ValueError:
-                    selections.append(np.empty(0, dtype=np.intp))
-                    continue
-                times = _partition_best_matches(scores, ends, masks, k, tau, t)
-                selections.append(times + tau)
-        return selections
+        return _select(xw, k, tau, [spec.ell for _, spec in group], cfg.rule,
+                       cfg.partition, self.levels)
 
-    def _independent_selections(self, xw, group):
-        """Per-asset match times; the agent tuple is assembled column-wise.
-
-        Encoded as negative sentinel-free 2-d selections: returns for each
-        agent an (lhat, m) index matrix instead of a flat row list.
-        """
-        cfg = self.config
-        t = xw.shape[0]
-        tau, k = group[0][1].tau, group[0][1].k
-        ends, per_asset = _per_asset_scores(xw, k, tau, cfg.metric)
-        if ends.size == 0:
-            return [np.empty(0, dtype=np.intp) for _ in group]
-        orders = np.argsort(per_asset, axis=0, kind="stable")
-        rows = ends[orders] + tau  # (n, m) per-asset sorted outcome rows
-        out = []
-        for _, spec in group:
-            lhat = _clamped_count(cfg.rule, spec.ell, self.levels, t, ends.size)
-            out.append(rows[:lhat, :])
-        return out
-
-    def _agent_statistics(self, x, want_samples=False):
-        """Per-agent (mu, cov) of matched outcomes at the given history.
-
-        Returns (mu, cov, counts, matched, samples) where mu/cov are ragged
-        lists in cluster-local dimensions, counts holds matched sample sizes,
-        matched is a bool array, and samples (only when requested) holds each
-        agent's outcome rows for numeric solvers.
-        """
-        n = self.n_agents
-        matched = np.zeros(n, dtype=bool)
-        counts = np.zeros(n, dtype=np.intp)
-        mus = [None] * n
-        covs = [None] * n
-        samples = [None] * n if want_samples else None
-
-        by_group: dict = {}
-        for i, spec in enumerate(self.specs):
-            by_group.setdefault((spec.cluster, spec.tau, spec.k), []).append((i, spec))
-
-        for (w, _tau, _k), group in by_group.items():
-            cols = np.asarray(self.clusters.members[w], dtype=np.intp)
-            if cols.size == x.shape[1] and np.array_equal(cols, np.arange(x.shape[1])):
-                xw = x
-            else:
-                xw = np.ascontiguousarray(x[:, cols])
-            selections = self._group_selections(xw, group)
-            prefix = self._prefix_stats(xw, group, selections)
-            for (i, _spec), sel in zip(group, selections):
-                if sel.size == 0:
-                    continue
-                matched[i] = True
-                counts[i] = sel.shape[0]
-                if sel.ndim == 2:  # independent-columns tuple
-                    tup = xw[sel, np.arange(xw.shape[1])[None, :]]
-                    mus[i], covs[i] = sample_moments(tup)
-                    if want_samples:
-                        samples[i] = tup
-                elif prefix is not None and i in prefix:
-                    mus[i], covs[i] = prefix[i]
-                    if want_samples:
-                        samples[i] = xw[sel]
-                else:
-                    mus[i], covs[i] = sample_moments(xw[sel])
-                    if want_samples:
-                        samples[i] = xw[sel]
-        return mus, covs, counts, matched, samples
+    def _cluster_selections(self, x):
+        """(cluster, cluster-sliced history, group, selections) per agent group."""
+        for w, cols in enumerate(self._cols):
+            xw = np.ascontiguousarray(x[:, cols])  # row-major for the window scans
+            for group in self._groups[w].values():
+                yield w, xw, group, self._group_selections(xw, group)
 
     def _cluster_blocks(self, x):
         """Stacked matched moments per cluster for one history.
@@ -515,122 +441,96 @@ class PatternAgents:
         Returns ({cluster: (agent rows, mu stack, cov stack, deficient mask)},
         unmatched agent indices).  "Deficient" marks covariances built from no
         more samples than assets, which are rank-deficient by construction.
+        Trivial-partition selections are nested prefixes of one sorted row
+        list, so a group's moments come from one prefix-moments call; a
+        partition agent's rows form a single prefix of their own.
         """
-        mus, covs, counts, matched, _ = self._agent_statistics(x)
+        trivial = self.config.partition == "trivial"
+        parts = {}
+        unmatched = []
+        for w, xw, group, selections in self._cluster_selections(x):
+            live = [(i, sel) for (i, _), sel in zip(group, selections) if sel.size]
+            unmatched += [i for (i, _), sel in zip(group, selections) if not sel.size]
+            for run in ([live] if trivial else [[agent] for agent in live]):
+                if not run:
+                    continue
+                lens = [sel.size for _, sel in run]
+                mus, covs = _prefix_moments(xw[max((sel for _, sel in run), key=len)], lens)
+                parts.setdefault(w, []).append(([i for i, _ in run], mus, covs, lens))
         blocks = {}
-        for w in range(len(self.clusters)):
-            idx = [i for i in np.flatnonzero(matched) if self.specs[i].cluster == w]
-            if idx:
-                rows = np.asarray(idx, dtype=np.intp)
-                mw = len(self.clusters.members[w])
-                blocks[w] = (
-                    rows,
-                    np.stack([mus[i] for i in idx]),
-                    np.stack([covs[i] for i in idx]),
-                    counts[rows] <= mw,
-                )
-        return blocks, np.flatnonzero(~matched)
-
-    def _prefix_stats(self, xw, group, selections):
-        """Shared prefix mean/cov when selections are nested sorted prefixes."""
-        cfg = self.config
-        if cfg.partition != "trivial" or cfg.independent_columns:
-            return None
-        lens = np.array([sel.shape[0] for sel in selections])
-        if lens.size == 0 or lens.max() == 0:
-            return None
-        nmax = int(lens.max())
-        m = xw.shape[1]
-        if nmax * m * m > _PREFIX_CUMSUM_LIMIT:
-            return None
-        base = selections[int(np.argmax(lens))]
-        y = xw[base] - 1.0
-        c1 = np.cumsum(y, axis=0)
-        c2 = np.cumsum(y[:, :, None] * y[:, None, :], axis=0)
-        live = np.flatnonzero(lens > 0)
-        counts = lens[live].astype(float)
-        bounds = lens[live] - 1
-        mus = c1[bounds] / counts[:, None]
-        covs = np.zeros((live.size, m, m))
-        ge2 = counts >= 2
-        if ge2.any():
-            outer = mus[ge2][:, :, None] * mus[ge2][:, None, :]
-            covs[ge2] = (c2[bounds[ge2]] - counts[ge2, None, None] * outer) \
-                / (counts[ge2] - 1.0)[:, None, None]
-        return {group[j][0]: (mus[pos], covs[pos]) for pos, j in enumerate(live)}
+        for w, items in parts.items():
+            rows, mus, covs, lens = (np.concatenate(column) for column in zip(*items))
+            blocks[w] = (rows.astype(np.intp), mus, covs, lens <= self._cols[w].size)
+        return blocks, np.asarray(unmatched, dtype=np.intp)
 
     # -- control mapping --------------------------------------------------
 
     def _fallback_row(self, spec, mode):
         h = np.zeros(self.n_assets)
         if mode == "absolute":
-            cols = np.asarray(self.clusters.members[spec.cluster], dtype=np.intp)
+            cols = self._cols[spec.cluster]
             h[cols] = 1.0 / cols.size
         return h
 
-    def controls_multi(self, history, modes=("absolute", "active")):
-        """Control matrices for several portfolio modes off one matching pass."""
+    def _history(self, history):
         x = np.asarray(getattr(history, "values", history), dtype=float)
         if x.ndim != 2 or x.shape[1] != self.n_assets:
             raise ValueError(f"history must be (t, {self.n_assets})")
-        blocks, unmatched = self._cluster_blocks(x)
-        out = {mode: np.zeros((self.n_agents, self.n_assets)) for mode in modes}
+        return x
 
-        for w, (rows, mu_b, cov_b, deficient) in blocks.items():
-            cols = np.asarray(self.clusters.members[w], dtype=np.intp)
-            for mode, ctrl in self._map_controls(mu_b, cov_b, modes, deficient).items():
-                out[mode][rows[:, None], cols[None, :]] = ctrl
+    def controls_multi(self, history, modes=("absolute", "active")):
+        """Control matrices for several portfolio modes off one matching pass."""
+        x = self._history(history)
+        stacks = self._controls(x, [x.shape[0]], modes)
+        return {mode: stack[0] for mode, stack in stacks.items()}
 
-        self._fallbacks += unmatched.size * len(modes)
-        if unmatched.size:
-            log.debug("fallback controls for %d agents at t=%d", unmatched.size, x.shape[0])
-        for mode in modes:
-            for i in unmatched:
-                out[mode][i] = self._fallback_row(self.specs[i], mode)
-        return out
-
-    def controls_series(self, history, modes=("absolute", "active"), chunk: int = 64):
+    def controls_series(self, history, modes=("absolute", "active")):
         """(T, N, M) control stacks for every period, batching the solver.
 
         Period t's controls use only x[:t], exactly as repeated
-        :meth:`controls_multi` calls would (bit-identically so); moments are
-        buffered across ``chunk`` periods per cluster and pushed through one
-        stacked fund solve, which keeps per-period dispatch overhead out of
-        long backtests.
+        :meth:`controls_multi` calls would (bit-identically so).
         """
-        x = np.asarray(getattr(history, "values", history), dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.n_assets:
-            raise ValueError(f"history must be (t, {self.n_assets})")
-        t_total = x.shape[0]
-        out = {mode: np.zeros((t_total, self.n_agents, self.n_assets)) for mode in modes}
+        x = self._history(history)
+        return self._controls(x, range(x.shape[0]), modes)
+
+    def _controls(self, x, periods, modes):
+        """Control stacks, one slot per history length in ``periods``.
+
+        Moments are buffered across up to ``_SOLVE_CHUNK`` periods per
+        cluster and pushed through one stacked fund solve, which keeps
+        per-period dispatch overhead out of long backtests.
+        """
+        out = {mode: np.zeros((len(periods), self.n_agents, self.n_assets)) for mode in modes}
         pending = {w: [] for w in range(len(self.clusters))}
 
         def flush():
             for w, items in pending.items():
                 if not items:
                     continue
-                cols = np.asarray(self.clusters.members[w], dtype=np.intp)
+                cols = self._cols[w]
                 mu_b = np.concatenate([item[2] for item in items])
                 cov_b = np.concatenate([item[3] for item in items])
                 deficient = np.concatenate([item[4] for item in items])
                 ctrl = self._map_controls(mu_b, cov_b, modes, deficient)
                 offset = 0
-                for t, rows, mu_i, _, _ in items:
+                for slot, rows, _, _, _ in items:
                     span = slice(offset, offset + len(rows))
                     for mode in modes:
-                        out[mode][t, rows[:, None], cols[None, :]] = ctrl[mode][span]
+                        out[mode][slot, rows[:, None], cols[None, :]] = ctrl[mode][span]
                     offset += len(rows)
                 pending[w] = []
 
-        for t in range(t_total):
+        for slot, t in enumerate(periods):
             blocks, unmatched = self._cluster_blocks(x[:t])
-            for w, (rows, mu_b, cov_b, deficient) in blocks.items():
-                pending[w].append((t, rows, mu_b, cov_b, deficient))
+            for w, block in blocks.items():
+                pending[w].append((slot,) + block)
             self._fallbacks += unmatched.size * len(modes)
+            if unmatched.size:
+                log.debug("fallback controls for %d agents at t=%d", unmatched.size, t)
             for mode in modes:
                 for i in unmatched:
-                    out[mode][t, i] = self._fallback_row(self.specs[i], mode)
-            if (t + 1) % chunk == 0:
+                    out[mode][slot, i] = self._fallback_row(self.specs[i], mode)
+            if (slot + 1) % _SOLVE_CHUNK == 0:
                 flush()
         flush()
         return out
@@ -678,77 +578,16 @@ class PatternAgents:
         handed to SLSQP instead of the analytic map.  ``warm`` is an optional
         per-agent dict of starting points reused across periods.
         """
-        x = np.asarray(getattr(history, "values", history), dtype=float)
-        _, _, _, matched, samples = self._agent_statistics(x, want_samples=True)
+        x = self._history(history)
         out = np.zeros((self.n_agents, self.n_assets))
-        for i, spec in enumerate(self.specs):
-            cols = np.asarray(self.clusters.members[spec.cluster], dtype=np.intp)
-            if not matched[i]:
-                out[i] = self._fallback_row(spec, "absolute")
-                continue
-            x0 = None if warm is None else warm.get(i)
-            w = fundsep.log_optimal_controls(samples[i], "absolute", x0=x0)
-            if warm is not None:
-                warm[i] = w
-            out[i, cols] = w
+        for w, xw, group, selections in self._cluster_selections(x):
+            for (i, spec), sel in zip(group, selections):
+                if sel.size == 0:
+                    out[i] = self._fallback_row(spec, "absolute")
+                    continue
+                x0 = None if warm is None else warm.get(i)
+                h = fundsep.log_optimal_controls(xw[sel], "absolute", x0=x0)
+                if warm is not None:
+                    warm[i] = h
+                out[i, self._cols[w]] = h
         return out
-
-
-def generate_agent_controls(
-    history,
-    specs,
-    mode: str,
-    clusters: ClusterMap | None = None,
-    config: MatchConfig | None = None,
-):
-    """One-shot N x M controls for period t+1 from history x[1..t].
-
-    Thin wrapper over :class:`PatternAgents`; backtests keep the engine
-    object alive instead so repeated calls share nothing but stay cheap.
-    """
-    x = np.asarray(getattr(history, "values", history), dtype=float)
-    engine = PatternAgents(specs, x.shape[1], clusters=clusters, config=config)
-    return engine.controls(x, mode)
-
-
-def anti_bcrp_controls(window, mode: str, gamma: float = 1.0,
-                       ridge: float = fundsep.DEFAULT_RIDGE,
-                       projection: str = "euclidean"):
-    """Contrarian controls from a recent window of relatives.
-
-    The sample mean of (window - 1) is negated before the fund solve, so the
-    agent leans against whatever just performed; the covariance is kept.
-    """
-    w = np.atleast_2d(np.asarray(getattr(window, "values", window), dtype=float))
-    if w.size == 0:
-        raise ValueError("window must be nonempty")
-    mu, cov = sample_moments(w)
-    return fundsep.agent_controls(-mu, cov, mode, gamma=gamma, eps=ridge, projection=projection)
-
-
-def generate_anti_bcrp_controls(history, specs, mode: str,
-                                clusters: ClusterMap | None = None,
-                                config: MatchConfig | None = None):
-    """Control matrix for an anti-BCRP agent grid (trivial partitions).
-
-    Each agent applies :func:`anti_bcrp_controls` to the last k relatives of
-    its cluster; agents whose window exceeds the history fall back exactly
-    like pattern agents.
-    """
-    x = np.asarray(getattr(history, "values", history), dtype=float)
-    cfg = config if config is not None else MatchConfig()
-    cmap = clusters if clusters is not None else ClusterMap.trivial(x.shape[1])
-    cmap.validate_assets(x.shape[1])
-    t = x.shape[0]
-    out = np.zeros((len(specs), x.shape[1]))
-    for i, spec in enumerate(specs):
-        cols = np.asarray(cmap.members[spec.cluster], dtype=np.intp)
-        if t < spec.k:
-            if mode == "absolute":
-                out[i, cols] = 1.0 / cols.size
-            continue
-        out[i, cols] = anti_bcrp_controls(
-            x[t - spec.k :, cols], mode, gamma=cfg.gamma, ridge=cfg.ridge,
-            projection=cfg.projection,
-        )
-    return out

@@ -15,7 +15,7 @@ import gc
 import json
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,8 @@ from .learner import BankruptcyError, MixtureRule, WealthTrack, run_backtest
 from .patterns import ClusterMap, MatchConfig, PatternAgents, agent_grid
 
 SPEC_VERSION = 1
+
+MATCH_KEYS = tuple(f.name for f in fields(MatchConfig))
 
 DEFAULT_PAIRS = (("IROQU", "KINAR"), ("COMME", "MEICO"), ("COMME", "KINAR"), ("IBM", "COKE"))
 
@@ -121,12 +123,14 @@ def config_from_dict(doc: dict) -> RunConfig:
             "must be integers >= 1")
 
     match_doc = doc.get("matching", {})
+    _expect(isinstance(match_doc, dict), "matching", "must be a mapping")
+    for key in match_doc:
+        _expect(key in MATCH_KEYS, f"matching.{key}",
+                f"unknown key; expected one of {', '.join(MATCH_KEYS)}")
     try:
         matching = MatchConfig(
             rule=match_doc.get("rule", "trivial"),
             partition=match_doc.get("partition", "trivial"),
-            metric=match_doc.get("metric", "abs_sum"),
-            independent_columns=bool(match_doc.get("independent_columns", False)),
             gamma=float(match_doc.get("gamma", 1.0)),
             ridge=float(match_doc.get("ridge", 1e-8)),
             projection=match_doc.get("projection", "euclidean"),

@@ -17,7 +17,7 @@ outer, asset inner), so identical seeds reproduce identical matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,11 +91,6 @@ def generate(spec: SynthSpec) -> PriceRelativeMatrix:
         timestamps=timestamps,
         cleaned=np.zeros(values.shape, dtype=bool),
     )
-
-
-def batch(spec: SynthSpec, seeds) -> list:
-    """Independent matrices for a sequence of seeds (paper protocol: 1..30)."""
-    return [generate(replace(spec, seed=int(s))) for s in seeds]
 
 
 def asset_means(spec: SynthSpec) -> np.ndarray:

@@ -1,0 +1,67 @@
+"""The benchmark's hooks into the package still fit it.
+
+``benchmarks/`` wraps public functions by name and calls a few engine
+internals (``_group_selections``, ``_stable_smallest``); a refactor that
+renames or reshapes them would break the benchmark without failing any
+other test.  This runs the benchmark's tracer and engine checks on a small
+input.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+from zeroport import fundsep, learner, patterns, synth
+from zeroport.patterns import MatchConfig, PatternAgents, agent_grid
+from conftest import REPO_ROOT
+
+sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+import checks  # noqa: E402
+import tracing  # noqa: E402
+
+MODES = ("absolute", "active")
+PERIODS = 60
+
+
+@pytest.fixture
+def market():
+    return synth.generate(synth.SynthSpec(case="SDC3", assets=4, periods=PERIODS, seed=4)).values
+
+
+def test_tracer_installs_counts_and_uninstalls(market):
+    engine = PatternAgents(agent_grid(3, 4), 4, config=MatchConfig(rule="gyorfi_nn"))
+    originals = (patterns.PatternAgents.controls_series, fundsep.fund_solution,
+                 patterns.sample_moments, learner.run_backtest)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.op = 0
+        stacks = engine.controls_series(market, MODES)
+        learner.run_backtest(market, stacks["absolute"], "absolute")
+        tracer.op = None
+    finally:
+        tracer.uninstall()
+    assert (patterns.PatternAgents.controls_series, fundsep.fund_solution,
+            patterns.sample_moments, learner.run_backtest) == originals
+    counts = tracer.counts[0]
+    assert counts["patterns.agent_periods"] == PERIODS * engine.n_agents
+    assert counts["patterns.sample_moments_calls"] == 0
+    assert counts["fundsep.batches"] >= 1
+    assert counts["learner.periods"] == PERIODS
+    names = {span[0] for span in tracer.spans}
+    assert {"patterns.controls_series", "fundsep.fund_solution",
+            "learner.run_backtest"} <= names
+
+
+@pytest.mark.parametrize("rule", ["trivial", "gyorfi_nn"])
+def test_engine_checks_pass(market, rule):
+    def make_engine():
+        return PatternAgents(agent_grid(3, 4), 4, config=MatchConfig(rule=rule))
+
+    stacks = make_engine().controls_series(market, MODES)
+    tracks = {mode: learner.run_backtest(market, stacks[mode], mode) for mode in MODES}
+    ck = checks.Checks(rule)
+    checks.check_engine(ck, market, make_engine, stacks, tracks, [8, 30, PERIODS - 1])
+    assert ck.ok, ck.failures
+    assert np.all(np.isfinite(stacks["active"]))

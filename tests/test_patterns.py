@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zeroport import fundsep, patterns
+from zeroport import fundsep, synth
 from zeroport.patterns import (
     AgentSpec,
     ClusterMap,
@@ -9,8 +9,6 @@ from zeroport.patterns import (
     NoMatchError,
     PatternAgents,
     agent_grid,
-    anti_bcrp_controls,
-    generate_agent_controls,
     gyorfi_match_count,
     make_partitions,
     match,
@@ -91,11 +89,6 @@ class TestTupleDistance:
         c = np.array([[1.1], [0.8]])
         np.testing.assert_allclose(tuple_distance(q, c), [0.3], atol=1e-15)
 
-    def test_euclidean_metric_column_norm(self):
-        q = np.zeros((2, 1))
-        c = np.array([[3.0], [4.0]])
-        np.testing.assert_allclose(tuple_distance(q, c, metric="euclidean"), [5.0])
-
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             tuple_distance(np.ones((2, 2)), np.ones((3, 2)))
@@ -142,9 +135,8 @@ class TestMatch:
     def test_multi_partition_best_per_partition(self, rng):
         x = random_history(rng, t=30, m=2)
         for kind in ("overlapping", "exclusive"):
-            part = make_partitions(30, kind, 3)
-            res = match(x, AgentSpec(k=2, ell=3), partition=part)
-            expected = brute_partition_matches(x, 2, part.masks)
+            res = match(x, AgentSpec(k=2, ell=3), partition=kind)
+            expected = brute_partition_matches(x, 2, make_partitions(30, kind, 3).masks)
             np.testing.assert_array_equal(res.times, expected)
 
     def test_match_count_clamps_to_candidates(self, rng):
@@ -189,15 +181,15 @@ class TestSampleMoments:
 class TestGenerateControls:
     def test_no_history_all_fallback(self, rng):
         specs = agent_grid(2, 2)
-        h_abs = generate_agent_controls(np.ones((1, 3)), specs, "absolute")
+        h_abs = PatternAgents(specs, 3).controls(np.ones((1, 3)), "absolute")
         np.testing.assert_allclose(h_abs, np.full((4, 3), 1 / 3))
-        h_act = generate_agent_controls(np.ones((1, 3)), specs, "active")
+        h_act = PatternAgents(specs, 3).controls(np.ones((1, 3)), "active")
         np.testing.assert_array_equal(h_act, np.zeros((4, 3)))
 
     def test_single_match_ridge_path_finite(self, rng):
         # ell=1 leaves a single outcome row: zero covariance, ridge kicks in.
         x = random_history(rng, t=8, m=2)
-        h = generate_agent_controls(x, [AgentSpec(k=1, ell=1)], "active")
+        h = PatternAgents([AgentSpec(k=1, ell=1)], 2).controls(x, "active")
         assert np.all(np.isfinite(h))
         assert abs(np.abs(h).sum() - 1.0) < 1e-12 or np.all(h == 0)
 
@@ -210,7 +202,7 @@ class TestGenerateControls:
         down = np.exp(rng.normal(-0.006, 0.002, size=t))
         x = np.column_stack([up, down])
         cfg = MatchConfig(rule="gyorfi_nn")
-        h = generate_agent_controls(x, agent_grid(2, 10), "active", config=cfg)
+        h = PatternAgents(agent_grid(2, 10), 2, config=cfg).controls(x, "active")
         live = np.abs(h).sum(axis=1) > 0
         assert live.any()
         assert np.all(h[live, 0] > 0)
@@ -221,7 +213,7 @@ class TestGenerateControls:
         cmap = ClusterMap(members=((0, 1), (2, 3)), names=("L", "R"))
         specs = agent_grid(2, 2, n_clusters=2)
         for mode in ("absolute", "active"):
-            h = generate_agent_controls(x, specs, mode, clusters=cmap)
+            h = PatternAgents(specs, 4, clusters=cmap).controls(x, mode)
             for i, spec in enumerate(specs):
                 outside = [m for m in range(4) if m not in cmap.members[spec.cluster]]
                 np.testing.assert_array_equal(h[i, outside], 0.0)
@@ -229,10 +221,10 @@ class TestGenerateControls:
     def test_mode_normalization_rows(self, rng):
         x = random_history(rng, t=50, m=3)
         specs = agent_grid(3, 4)
-        h_abs = generate_agent_controls(x, specs, "absolute")
+        h_abs = PatternAgents(specs, 3).controls(x, "absolute")
         assert np.all(h_abs >= 0)
         np.testing.assert_allclose(h_abs.sum(axis=1), 1.0, atol=1e-12)
-        h_act = generate_agent_controls(x, specs, "active")
+        h_act = PatternAgents(specs, 3).controls(x, "active")
         np.testing.assert_allclose(h_act.sum(axis=1), 0.0, atol=1e-12)
         lev = np.abs(h_act).sum(axis=1)
         assert np.all((lev < 1e-12) | (np.abs(lev - 1.0) < 1e-12))
@@ -272,51 +264,40 @@ class TestGenerateControls:
             np.testing.assert_allclose(h[i], fundsep.agent_controls(mu, cov, "absolute"),
                                        atol=1e-12)
 
-    def test_independent_columns_variant(self, rng):
-        x = random_history(rng, t=40, m=3)
-        cfg = MatchConfig(independent_columns=True)
-        h = generate_agent_controls(x, agent_grid(2, 3), "absolute", config=cfg)
-        assert h.shape == (6, 3)
-        np.testing.assert_allclose(h.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_euclidean_metric_variant(self, rng):
-        x = random_history(rng, t=30, m=2)
-        cfg = MatchConfig(metric="euclidean")
-        engine = PatternAgents(agent_grid(3, 3), 2, config=cfg)
-        h = engine.controls(x, "absolute")
-        for i, spec in enumerate(engine.specs):
-            expected = brute_match_times(x, spec.k, spec.ell, metric="euclidean")
-            res = match(x, spec, levels=3, metric="euclidean")
-            np.testing.assert_array_equal(res.times, expected)
-        assert np.all(np.isfinite(h))
+class TestEngineSelections:
+    @pytest.mark.parametrize("kind", ["overlapping", "exclusive"])
+    def test_partition_path_against_brute_force(self, rng, kind):
+        specs = agent_grid(3, 6, horizons=(1, 2))
+        engine = PatternAgents(specs, 2, config=MatchConfig(partition=kind))
+        groups = {}
+        for i, spec in enumerate(specs):
+            groups.setdefault((spec.tau, spec.k), []).append((i, spec))
+        for x in (random_history(rng, t=40, m=2), np.ones((20, 2))):
+            for t in (3, 5, 12, x.shape[0]):
+                for (tau, k), group in groups.items():
+                    selections = engine._group_selections(x[:t], group)
+                    for (_, spec), rows in zip(group, selections):
+                        if kind == "exclusive" and spec.ell > t:
+                            expected = []
+                        else:
+                            masks = make_partitions(t, kind, spec.ell).masks
+                            expected = [j + tau for j in
+                                        brute_partition_matches(x[:t], k, masks, tau)]
+                        assert rows.tolist() == expected, (t, spec)
 
-
-class TestAntiBcrp:
-    def test_leans_against_recent_winners(self):
-        window = np.array([[1.05, 0.95], [1.04, 0.96], [1.06, 0.94]])
-        h = anti_bcrp_controls(window, "active")
-        assert h[0] < 0 < h[1]
-        assert abs(h.sum()) < 1e-12
-        assert abs(np.abs(h).sum() - 1.0) < 1e-12
-
-    def test_constant_window_zero_active(self):
-        h = anti_bcrp_controls(np.full((4, 3), 1.01), "active")
-        np.testing.assert_array_equal(h, np.zeros(3))
-
-    def test_single_row_finite(self):
-        h = anti_bcrp_controls(np.array([[1.02, 0.99]]), "active")
-        assert np.all(np.isfinite(h))
-
-    def test_sign_flip_of_fund_controls(self, rng):
-        window = np.exp(rng.normal(0, 0.02, size=(10, 3)))
-        mu, cov = sample_moments(window)
-        expected = fundsep.agent_controls(-mu, cov, "active")
-        np.testing.assert_allclose(anti_bcrp_controls(window, "active"), expected,
-                                   atol=1e-14)
-
-    def test_grid_generator_shapes(self, rng):
-        x = random_history(rng, t=12, m=2)
-        specs = agent_grid(3, 2)
-        h = patterns.generate_anti_bcrp_controls(x, specs, "absolute")
-        assert h.shape == (6, 2)
-        np.testing.assert_allclose(h.sum(axis=1), 1.0, atol=1e-12)
+    @pytest.mark.parametrize("t", [400, 1400, 2000])
+    def test_moments_equal_sample_moments_of_match(self, t):
+        # One moments path at every size, including past the sizes where
+        # matched samples reach ell-hat * m^2 > 65536 floats.
+        x = synth.generate(synth.SynthSpec(case="SDC3", periods=t, seed=3)).values
+        engine = PatternAgents(agent_grid(5, 10), 10, config=MatchConfig(rule="gyorfi_nn"))
+        blocks, unmatched = engine._cluster_blocks(x)
+        rows, mus, covs, _ = blocks[0]
+        assert unmatched.size == 0
+        assert sorted(rows.tolist()) == list(range(engine.n_agents))
+        for i, mu, cov in zip(rows, mus, covs):
+            res = match(x, engine.specs[i], rule="gyorfi_nn", levels=10)
+            mu_ref, cov_ref = sample_moments(res.agent_tuple)
+            np.testing.assert_allclose(mu, mu_ref, rtol=1e-10, atol=1e-15)
+            np.testing.assert_allclose(cov, cov_ref, rtol=1e-10, atol=1e-15)

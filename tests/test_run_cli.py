@@ -70,6 +70,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="matching"):
             config_from_dict(make_doc(matching={"rule": "psychic"}))
 
+    def test_unknown_matching_key_rejected(self):
+        with pytest.raises(ConfigError, match=r"matching\.rul:"):
+            config_from_dict(make_doc(matching={"rul": "gyorfi_nn"}))
+
+    def test_matching_must_be_mapping(self):
+        with pytest.raises(ConfigError, match="matching: must be a mapping"):
+            config_from_dict(make_doc(matching="gyorfi_nn"))
+
     def test_overrides_dotted_paths(self):
         doc = apply_overrides(make_doc(), ["data.seed=9", "mode=active",
                                            "grid.levels=5"])
@@ -246,6 +254,18 @@ class TestCli:
         config = tmp_path / "cfg.yaml"
         config.write_text(yaml.safe_dump(make_doc(mode="wrong")))
         assert cli.main(["run", str(config)]) == 2
+
+    def test_dropped_matching_knob_exit_two(self, tmp_path, capsys):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(yaml.safe_dump(make_doc()))
+        assert cli.main(["run", str(config), "--set", "matching.metric=euclidean"]) == 2
+        assert "matching.metric" in capsys.readouterr().err
+
+    def test_misspelt_matching_key_exit_two(self, tmp_path, capsys):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(yaml.safe_dump(make_doc(matching={"rul": "gyorfi_nn"})))
+        assert cli.main(["run", str(config)]) == 2
+        assert "matching.rul" in capsys.readouterr().err
 
     def test_data_error_exit_three(self, tmp_path):
         config = tmp_path / "cfg.yaml"
