@@ -49,9 +49,9 @@ def regularize(sigma, eps: float = DEFAULT_RIDGE, assume_deficient=None):
 
     ``assume_deficient`` is a boolean mask over the stacked matrices that
     are known rank-deficient (sample covariances with no more samples than
-    assets).  Those provably fail the eigenvalue test, so when every matrix
-    is flagged the eigendecomposition is skipped outright; the ridge added
-    is identical either way.
+    assets).  Those provably fail the eigenvalue test, so only the matrices
+    it does not flag are decomposed; the ridge added is identical either
+    way.
     """
     s = np.asarray(sigma, dtype=float)
     if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
@@ -60,13 +60,13 @@ def regularize(sigma, eps: float = DEFAULT_RIDGE, assume_deficient=None):
     m = s.shape[-1]
     trace = np.trace(s, axis1=-2, axis2=-1)
     scale = np.where(trace > 0.0, trace / m, 1.0)
-    if assume_deficient is not None and np.all(assume_deficient):
-        need = np.broadcast_to(True, s.shape[:-2])
+    if assume_deficient is None:
+        need = np.linalg.eigvalsh(s)[..., 0] < eps * scale
     else:
-        lam_min = np.linalg.eigvalsh(s)[..., 0]
-        need = lam_min < eps * scale
-        if assume_deficient is not None:
-            need = need | assume_deficient
+        need = np.array(np.broadcast_to(assume_deficient, s.shape[:-2]), dtype=bool)
+        test = ~need
+        if np.any(test):
+            need[test] = np.linalg.eigvalsh(s[test])[:, 0] < eps * scale[test]
     if np.any(need):
         bump = np.where(need, eps * scale, 0.0)
         s = s + bump[..., None, None] * np.eye(m)

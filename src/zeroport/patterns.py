@@ -2,21 +2,24 @@
 
 Each agent is a (window k, match level ell, cluster w, horizon tau) tuple.
 At history length t the agent takes the most recent k rows of price
-relatives for its cluster, searches the admissible past for the closest
-k-row tuples, steps each matched time tau periods forward to collect an
+relatives for its cluster, finds the closest k-row tuples in the
+admissible past, steps each matched time tau periods forward to collect an
 "agent tuple" of outcomes, and maps the sample mean/covariance of
 (outcome - 1) through the analytic fund-separation solver to produce its
-portfolio controls for period t+1.
+portfolio controls for period t+1.  Distances (:func:`tuple_distance`):
+the Euclidean row norm for k = 1, the window sum of absolute differences
+for k > 1.  Under the trivial partition an agent takes ell-hat = ell
+("trivial" rule) or :func:`gyorfi_match_count` ("gyorfi_nn") matches,
+clamped to [1, candidates]; under the others, the best match per block.
 
-Distances: for k = 1 the score is the Euclidean norm of the one-row
-difference across the cluster's assets (the same scalar for every asset);
-for k > 1 the per-asset score is the window sum of absolute differences,
-and candidate ranking uses the sum of per-asset scores.
-
-Match counts: with a single (trivial) partition either ell-hat = ell
-("trivial" rule) or ell-hat = floor((0.02 + 0.5 (ell-1)/(L-1)) t)
-("gyorfi_nn" rule), clamped to [1, admissible candidates].  With multiple
-partitions the single best match is taken in each.
+The engine runs per cluster over blocks of periods.  Two distance matrices
+between the block's query rows and every earlier row are built once and
+every window's scores follow by lagged adds (:func:`_block_selections`);
+each (period, tau, k) group then selects its rows.  The moments of a
+block's short row lists are summed in one stacked call, a long gyorfi_nn
+list in a call of its own (:func:`_prefix_moments`), and one fund solve
+maps the block's moments to controls.  A period gets the same bits in any
+block, so a series equals repeated one-period calls.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import fundsep
 
@@ -35,8 +37,9 @@ log = logging.getLogger(__name__)
 MATCH_RULES = ("trivial", "gyorfi_nn")
 PARTITION_KINDS = ("trivial", "overlapping", "exclusive")
 
-# Periods whose moments are pushed through one stacked fund solve.
-_SOLVE_CHUNK = 64
+# Periods per block: scored, summed and solved together.  At 64 the score
+# matrices raised the 10 x 2000 backtest's peak memory by about 8 MB.
+_SOLVE_CHUNK = 32
 
 _NO_ROWS = np.empty(0, dtype=np.intp)
 
@@ -131,13 +134,8 @@ class Partition:
 
 
 def _block_bounds(t: int, kind: str, ell: int):
-    """[lo, hi) bounds of the time blocks of a partition kind, in order.
-
-    trivial: the whole history.  overlapping: ell blocks where the i-th
-    covers the most recent ceil(i*t/ell) periods.  exclusive: ell disjoint
-    contiguous blocks covering the history, earlier blocks taking the
-    remainder (the split of ``np.array_split``).
-    """
+    """[lo, hi) bounds of a partition kind's time blocks, in the order of
+    :func:`make_partitions`; exclusive blocks split as ``np.array_split``."""
     if kind == "trivial":
         return [(0, t)]
     if kind == "overlapping":
@@ -208,34 +206,6 @@ class MatchResult:
     agent_tuple: np.ndarray
 
 
-def _candidate_scores(xw, k, tau):
-    """Ranking score of every admissible candidate tuple.
-
-    Candidate i ends at row i + k - 1; its score is the sum of per-asset
-    scores for k > 1 and the plain Euclidean row distance for k = 1, whose
-    ordering equals the broadcast sum.
-    """
-    t, m = xw.shape
-    n = t - tau - k + 1
-    if n <= 0:
-        return np.empty(0)
-    if k == 1:
-        diff = xw[:n] - xw[t - 1]
-        return np.sqrt((diff * diff).sum(axis=1))
-    windows = sliding_window_view(xw[: t - tau], (k, m)).reshape(n, k, m)
-    return np.abs(windows - xw[t - k : t]).sum(axis=(1, 2))
-
-
-def _clamped_count(rule, ell, levels, t, n_candidates):
-    if rule == "trivial":
-        lhat = ell
-    elif rule == "gyorfi_nn":
-        lhat = gyorfi_match_count(ell, levels, t)
-    else:
-        raise ValueError(f"unknown match rule {rule!r}")
-    return max(1, min(lhat, n_candidates))
-
-
 def _stable_smallest(scores, n_smallest):
     """Indices of the n smallest scores, earliest index first among ties.
 
@@ -251,23 +221,19 @@ def _stable_smallest(scores, n_smallest):
     return order[:n_smallest]
 
 
-def _select(xw, k, tau, ells, rule, partition, levels):
-    """Matched outcome rows of agents that share window k and horizon tau.
-
-    Returns one int array of history rows per entry of ``ells`` (empty = no
-    match).  With the trivial partition each agent takes its ell-hat
-    nearest candidates, all read off one stable partial sort; otherwise
-    each takes the best candidate whose tuple fits inside each of its ell
-    time blocks, earliest index first among ties.
+def _select(scores, t, k, tau, ells, rule, partition, levels):
+    """Matched outcome rows (one int array per level in ``ells``, empty = no
+    match) of agents sharing k and tau, from their n > 0 candidates'
+    ``scores`` at history length t.  Trivial partition: each agent's ell-hat
+    nearest, read off one stable partial sort.  Otherwise: the best
+    candidate in each of the agent's ell time blocks, earliest on ties.
     """
-    t = xw.shape[0]
-    scores = _candidate_scores(xw, k, tau)
     n = scores.shape[0]
-    if n == 0:
-        return [_NO_ROWS] * len(ells)
     shift = k - 1 + tau  # candidate index -> outcome row
     if partition == "trivial":
-        lhats = [_clamped_count(rule, ell, levels, t, n) for ell in ells]
+        if rule == "gyorfi_nn":
+            ells = [gyorfi_match_count(ell, levels, t) for ell in ells]
+        lhats = [max(1, min(lhat, n)) for lhat in ells]  # clamp to [1, candidates]
         rows = _stable_smallest(scores, max(lhats)) + shift
         return [rows[:lhat] for lhat in lhats]
     out = []
@@ -277,12 +243,46 @@ def _select(xw, k, tau, ells, rule, partition, levels):
         except ValueError:
             out.append(_NO_ROWS)
             continue
-        # Candidate i's tuple covers rows i..i+k-1, so it fits in [lo, hi)
-        # for i in [lo, hi - k + 1).
+        # Candidate i covers rows i..i+k-1, so it fits in [lo, hi) for lo <= i <= hi - k.
         fits = [(lo, min(hi - k + 1, n)) for lo, hi in bounds]
         best = [a + int(scores[a:b].argmin()) for a, b in fits if a < b]
         out.append(np.asarray(best, dtype=np.intp) + shift)
     return out
+
+
+def _block_selections(xw, t0, t1, groups, rule, partition, levels):
+    """Yield (t, group, selections) of :func:`_select` for t0 <= t < t1 and
+    each group in ``groups``, {(tau, k): [(agent index, spec), ...]}.
+
+    Built once over the block's query rows q and every candidate row j:
+    D[q, j] = sum over assets of |x_q - x_j|, and the Euclidean row distance
+    that scores k = 1.  Window scores follow by lagged adds, S_k[q, j] =
+    S_{k-1}[q-1, j-1] + D[q, j], one k live at a time for every horizon.
+    Each score sums the rows it covers in a fixed order: the same bits in
+    any block.
+    """
+    if not groups:  # a cluster without agents
+        return
+    k_max = max(k for _, k in groups)
+    lo = max(t0 - k_max, 0)  # first row that a window of the block's queries covers
+    hi = max(t1 - 1, lo)     # queries end at rows t - 1 < hi; candidates end earlier
+    dist, euclid = np.zeros((2, hi - lo, hi))
+    for col in range(xw.shape[1]):
+        diff = xw[lo:hi, col, None] - xw[None, :hi, col]
+        dist += np.abs(diff)
+        euclid += diff * diff
+    np.sqrt(euclid, out=euclid)
+    s, live = dist, 1
+    for (tau, k), group in sorted(groups.items(), key=lambda item: item[0][1]):
+        while live < k:
+            live += 1  # s[a, b]: the window ending at row lo + a + live - 1 vs candidate b
+            s = s[:-1, :-1] + dist[live - 1:, live - 1:]
+        scored = euclid if k == 1 else s
+        ells = [spec.ell for _, spec in group]
+        for t in range(t0, t1):
+            n = t - tau - k + 1  # admissible candidates
+            yield t, group, (_select(scored[t - k - lo, :n], t, k, tau, ells, rule, partition,
+                                     levels) if n > 0 else [_NO_ROWS] * len(ells))
 
 
 def match(
@@ -297,19 +297,24 @@ def match(
     ``features`` is the (t, m) relatives slice the agent sees.  The trivial
     partition selects the ell-hat closest candidates under ``rule``; the
     overlapping and exclusive partitions select the best match in each of
-    the agent's ell time blocks.  This is the engine's selection for a
-    one-agent group.  Raises :class:`NoMatchError` when no admissible
-    candidate exists, which callers translate into the fallback control.
+    the agent's ell time blocks.  This is the engine's kernel run on a
+    one-agent group and a one-period block.  Raises :class:`NoMatchError`
+    when no admissible candidate exists, which callers translate into the
+    fallback control.
     """
     xw = np.asarray(getattr(features, "values", features), dtype=float)
     if xw.ndim != 2:
         raise ValueError("features must be a (t, m) array")
     if partition not in PARTITION_KINDS:
         raise ValueError(f"unknown partition kind {partition!r}")
+    if rule not in MATCH_RULES:
+        raise ValueError(f"unknown match rule {rule!r}")
     levels = levels if levels is not None else spec.ell
-    rows = _select(xw, spec.k, spec.tau, [spec.ell], rule, partition, levels)[0]
+    t = xw.shape[0]
+    rows = next(_block_selections(xw, t, t + 1, {(spec.tau, spec.k): [(0, spec)]},
+                                  rule, partition, levels))[2][0]
     if rows.size == 0:
-        raise NoMatchError(f"history of {xw.shape[0]} periods admits no "
+        raise NoMatchError(f"history of {t} periods admits no "
                            f"(k={spec.k}, tau={spec.tau}, {partition}) candidate")
     return MatchResult(times=rows - spec.tau, agent_tuple=xw[rows])
 
@@ -331,24 +336,34 @@ def sample_moments(outcomes):
     return mu, cov
 
 
-def _prefix_moments(rows, lens):
-    """Moments of (rows[:n] - 1) for every prefix length n in ``lens``.
+def _prefix_moments(rows, which, lens, cuts):
+    """Moments of (rows[g, :n] - 1) for every (g, n) in zip(which, lens).
 
-    An (L, n) prefix-indicator matrix W gives every prefix's sums at once,
-    S1 = W Y and S2 = (W[:, :, None] Y)ᵀ Y in one batched matmul, with the
-    n-1 denominator of :func:`sample_moments`.  Y is taken about the first
-    row, which every prefix holds, so a prefix of identical rows (a single
-    row included) gets an exactly zero covariance.
+    ``rows`` stacks G outcome-row lists; ``cuts`` are increasing segment
+    ends, every entry of ``lens`` among them.  Each segment's sums of y and
+    y yᵀ take one product (per-row outer products when every segment is one
+    row, else a matmul) and a running sum over segments gives every
+    prefix's sums in O(n m²); the denominator is n-1 as in
+    :func:`sample_moments`.  Y is taken about each list's first row, so a
+    prefix of identical rows gets an exactly zero covariance.
     """
-    y = rows - rows[0]
-    lens = np.asarray(lens)
+    y = rows - rows[:, :1]
+    if cuts.size == y.shape[1]:
+        s1, s2 = y.copy(), y[..., :, None] * y[..., None, :]
+    else:
+        starts = np.concatenate(([0], cuts[:-1]))
+        s1 = np.add.reduceat(y, starts, axis=1)
+        s2 = np.empty(s1.shape + s1.shape[-1:])
+        for seg, (a, b) in enumerate(zip(starts, cuts)):
+            np.matmul(y[:, a:b].transpose(0, 2, 1), y[:, a:b], out=s2[:, seg])
+    np.cumsum(s1, axis=1, out=s1)
+    np.cumsum(s2, axis=1, out=s2)
+    seg = np.searchsorted(cuts, lens)
     counts = lens.astype(float)
-    w = (np.arange(y.shape[0]) < lens[:, None]).astype(float)
-    mus = (w @ y) / counts[:, None]
-    s2 = np.matmul((w[:, :, None] * y).transpose(0, 2, 1), y)
-    covs = (s2 - counts[:, None, None] * mus[:, :, None] * mus[:, None, :]) \
+    mus = s1[which, seg] / counts[:, None]
+    covs = (s2[which, seg] - counts[:, None, None] * mus[:, :, None] * mus[:, None, :]) \
         / np.maximum(counts - 1.0, 1.0)[:, None, None]
-    return mus + (rows[0] - 1.0), covs
+    return mus + (rows[which, 0] - 1.0), covs
 
 
 @dataclass(frozen=True)
@@ -376,10 +391,9 @@ class MatchConfig:
 class PatternAgents:
     """Vectorized control generation for a whole agent grid.
 
-    Groups agents by (cluster, tau, k) so candidate scores are computed
-    once per group, then maps every agent's matched-sample moments through
-    the fund-separation solver in one batched call per cluster.  Absolute
-    and active controls for the same history share all matching work.
+    Groups agents by (cluster, tau, k) for the block engine described in
+    the module docstring.  Absolute and active controls for the same
+    history share all matching work.
     """
 
     def __init__(self, specs, n_assets: int, clusters: ClusterMap | None = None,
@@ -405,6 +419,7 @@ class PatternAgents:
         for i, spec in enumerate(self.specs):
             self._groups[spec.cluster].setdefault((spec.tau, spec.k), []).append((i, spec))
         self._fallbacks = 0
+        self._match_args = (self.config.rule, self.config.partition, self.levels)
 
     @property
     def n_agents(self):
@@ -418,50 +433,51 @@ class PatternAgents:
     # -- matching ---------------------------------------------------------
 
     def _group_selections(self, xw, group):
-        """Matched outcome-row selections for agents sharing (cluster, tau, k).
+        """Matched rows (int arrays, empty = no match) of agents sharing
+        (cluster, tau, k): the kernel's one-period block at t = len(xw)."""
+        spec, t = group[0][1], xw.shape[0]
+        block = _block_selections(xw, t, t + 1, {(spec.tau, spec.k): group}, *self._match_args)
+        return next(block)[2]
 
-        Returns a list aligned with ``group`` of int arrays of history row
-        indices (empty = no match).
-        """
-        cfg = self.config
-        tau, k = group[0][1].tau, group[0][1].k
-        return _select(xw, k, tau, [spec.ell for _, spec in group], cfg.rule,
-                       cfg.partition, self.levels)
+    def _block_moments(self, xw, t0, t1, w):
+        """((periods, agents, mus, covs, deficient) or None, [(period, agent)]
+        unmatched) for cluster w at history lengths t0 <= t < t1.
 
-    def _cluster_selections(self, x):
-        """(cluster, cluster-sliced history, group, selections) per agent group."""
-        for w, cols in enumerate(self._cols):
-            xw = np.ascontiguousarray(x[:, cols])  # row-major for the window scans
-            for group in self._groups[w].values():
-                yield w, xw, group, self._group_selections(xw, group)
-
-    def _cluster_blocks(self, x):
-        """Stacked matched moments per cluster for one history.
-
-        Returns ({cluster: (agent rows, mu stack, cov stack, deficient mask)},
-        unmatched agent indices).  "Deficient" marks covariances built from no
-        more samples than assets, which are rank-deficient by construction.
-        Trivial-partition selections are nested prefixes of one sorted row
-        list, so a group's moments come from one prefix-moments call; a
-        partition agent's rows form a single prefix of their own.
+        "Deficient" covariances have no more samples than assets.  A
+        trivial-partition group's selections are prefixes of one sorted row
+        list; a partition agent's rows are a list of their own.  Lists of at
+        most ``levels`` rows (trivial rule, partitions) are stacked into one
+        moments call; each longer (gyorfi_nn) list gets a call of its own.
         """
         trivial = self.config.partition == "trivial"
-        parts = {}
-        unmatched = []
-        for w, xw, group, selections in self._cluster_selections(x):
-            live = [(i, sel) for (i, _), sel in zip(group, selections) if sel.size]
-            unmatched += [i for (i, _), sel in zip(group, selections) if not sel.size]
-            for run in ([live] if trivial else [[agent] for agent in live]):
-                if not run:
-                    continue
-                lens = [sel.size for _, sel in run]
-                mus, covs = _prefix_moments(xw[max((sel for _, sel in run), key=len)], lens)
-                parts.setdefault(w, []).append(([i for i, _ in run], mus, covs, lens))
-        blocks = {}
-        for w, items in parts.items():
-            rows, mus, covs, lens = (np.concatenate(column) for column in zip(*items))
-            blocks[w] = (rows.astype(np.intp), mus, covs, lens <= self._cols[w].size)
-        return blocks, np.asarray(unmatched, dtype=np.intp)
+        short, short_rows, parts, unmatched = [], [], [], []
+        block = _block_selections(xw, t0, t1, self._groups[w], *self._match_args)
+        for t, group, selections in block:
+            runs = [(group, selections)] if trivial else \
+                [([agent], [sel]) for agent, sel in zip(group, selections)]
+            for agents, sels in runs:
+                rows = max(sels, key=len)
+                ids, lens = [i for i, _ in agents], [sel.size for sel in sels]
+                if not rows.size:  # a trivial-partition group matches all or none
+                    unmatched += [(t, i) for i in ids]
+                elif rows.size <= self.levels:
+                    short += [(t, i, n, len(short_rows)) for i, n in zip(ids, lens)]
+                    short_rows.append(rows)
+                else:
+                    lens = np.array(lens)
+                    parts.append(([t] * len(ids), ids, lens, *_prefix_moments(
+                        xw[rows][None], np.zeros_like(lens), lens, np.unique(lens))))
+        if short:
+            sizes = np.array([rows.size for rows in short_rows])
+            idx = np.zeros((sizes.size, sizes.max()), dtype=np.intp)  # unread past a list's end
+            idx[np.arange(sizes.max()) < sizes[:, None]] = np.concatenate(short_rows)
+            periods, ids, lens, which = np.array(short).T
+            parts.append((periods, ids, lens, *_prefix_moments(
+                xw[idx], which, lens, np.arange(1, sizes.max() + 1))))
+        if not parts:
+            return None, unmatched
+        periods, agents, lens, mus, covs = (np.concatenate(col) for col in zip(*parts))
+        return (periods, agents, mus, covs, lens <= xw.shape[1]), unmatched
 
     # -- control mapping --------------------------------------------------
 
@@ -481,7 +497,7 @@ class PatternAgents:
     def controls_multi(self, history, modes=("absolute", "active")):
         """Control matrices for several portfolio modes off one matching pass."""
         x = self._history(history)
-        stacks = self._controls(x, [x.shape[0]], modes)
+        stacks = self._controls(x, x.shape[0], x.shape[0] + 1, modes)
         return {mode: stack[0] for mode, stack in stacks.items()}
 
     def controls_series(self, history, modes=("absolute", "active")):
@@ -491,80 +507,62 @@ class PatternAgents:
         :meth:`controls_multi` calls would (bit-identically so).
         """
         x = self._history(history)
-        return self._controls(x, range(x.shape[0]), modes)
+        return self._controls(x, 0, x.shape[0], modes)
 
-    def _controls(self, x, periods, modes):
-        """Control stacks, one slot per history length in ``periods``.
+    def _controls(self, x, t0, t1, modes):
+        """Control stacks for history lengths t0 <= t < t1, one slot each.
 
-        Moments are buffered across up to ``_SOLVE_CHUNK`` periods per
-        cluster and pushed through one stacked fund solve, which keeps
-        per-period dispatch overhead out of long backtests.
+        Per cluster and block of ``_SOLVE_CHUNK`` periods: one pass of the
+        matching kernel, stacked moments and one fund solve.
         """
-        out = {mode: np.zeros((len(periods), self.n_agents, self.n_assets)) for mode in modes}
-        pending = {w: [] for w in range(len(self.clusters))}
-
-        def flush():
-            for w, items in pending.items():
-                if not items:
-                    continue
-                cols = self._cols[w]
-                mu_b = np.concatenate([item[2] for item in items])
-                cov_b = np.concatenate([item[3] for item in items])
-                deficient = np.concatenate([item[4] for item in items])
-                ctrl = self._map_controls(mu_b, cov_b, modes, deficient)
-                offset = 0
-                for slot, rows, _, _, _ in items:
-                    span = slice(offset, offset + len(rows))
+        out = {mode: np.zeros((t1 - t0, self.n_agents, self.n_assets)) for mode in modes}
+        for w, cols in enumerate(self._cols):
+            xw = np.ascontiguousarray(x[:, cols])  # row-major for the window scans
+            for b0 in range(t0, t1, _SOLVE_CHUNK):
+                b1 = min(b0 + _SOLVE_CHUNK, t1)
+                matched, unmatched = self._block_moments(xw, b0, b1, w)
+                if matched is not None:
+                    periods, agents, mus, covs, deficient = matched
+                    ctrl = self._map_controls(mus, covs, modes, deficient)
                     for mode in modes:
-                        out[mode][slot, rows[:, None], cols[None, :]] = ctrl[mode][span]
-                    offset += len(rows)
-                pending[w] = []
-
-        for slot, t in enumerate(periods):
-            blocks, unmatched = self._cluster_blocks(x[:t])
-            for w, block in blocks.items():
-                pending[w].append((slot,) + block)
-            self._fallbacks += unmatched.size * len(modes)
-            if unmatched.size:
-                log.debug("fallback controls for %d agents at t=%d", unmatched.size, t)
-            for mode in modes:
-                for i in unmatched:
-                    out[mode][slot, i] = self._fallback_row(self.specs[i], mode)
-            if (slot + 1) % _SOLVE_CHUNK == 0:
-                flush()
-        flush()
+                        out[mode][(periods - t0)[:, None], agents[:, None], cols] = ctrl[mode]
+                self._fallbacks += len(unmatched) * len(modes)
+                if unmatched:
+                    log.debug("%d fallback agent-periods at t in [%d, %d)", len(unmatched), b0, b1)
+                for t, i in unmatched:
+                    for mode in modes:
+                        out[mode][t - t0, i] = self._fallback_row(self.specs[i], mode)
         return out
 
     def _map_controls(self, mu_b, cov_b, modes, deficient=None):
-        """Controls per mode from one batched fund solve over the agents."""
+        """Controls per mode from one batched fund solve over the agents.
+
+        Rarely the stacked solve fails; then each agent is solved alone and
+        those that still fail take the fallback control.
+        """
         cfg = self.config
+
+        def solve(mu, cov, deficient=None):
+            a, b = fundsep.fund_solution(mu, cov, eps=cfg.ridge, assume_deficient=deficient)
+            return {mode: fundsep.controls_from_solution(
+                a, b, mode, gamma=cfg.gamma, projection=cfg.projection,
+                absolute_tilt=cfg.absolute_tilt) for mode in modes}
+
         try:
-            a, b = fundsep.fund_solution(mu_b, cov_b, eps=cfg.ridge,
-                                         assume_deficient=deficient)
-            return {
-                mode: fundsep.controls_from_solution(a, b, mode, gamma=cfg.gamma,
-                                                     projection=cfg.projection,
-                                                     absolute_tilt=cfg.absolute_tilt)
-                for mode in modes
-            }
+            return solve(mu_b, cov_b, deficient)
         except fundsep.SolverError:
             pass
-        # Rare: isolate the offending agents and fall back just for them.
         out = {mode: np.zeros_like(mu_b) for mode in modes}
         m = mu_b.shape[1]
         for i in range(mu_b.shape[0]):
             try:
-                a, b = fundsep.fund_solution(mu_b[i], cov_b[i], eps=cfg.ridge)
-                for mode in modes:
-                    out[mode][i] = fundsep.controls_from_solution(
-                        a, b, mode, gamma=cfg.gamma, projection=cfg.projection,
-                        absolute_tilt=cfg.absolute_tilt)
+                row = solve(mu_b[i], cov_b[i])
             except fundsep.SolverError:
                 self._fallbacks += len(modes)
                 log.debug("solver fallback for agent row %d", i)
-                for mode in modes:
-                    if mode == "absolute":
-                        out[mode][i] = np.full(m, 1.0 / m)
+                row = {"absolute": np.full(m, 1.0 / m), "active": np.zeros(m)}
+            for mode in modes:
+                out[mode][i] = row[mode]
         return out
 
     def controls(self, history, mode: str):
@@ -579,15 +577,17 @@ class PatternAgents:
         per-agent dict of starting points reused across periods.
         """
         x = self._history(history)
+        t = x.shape[0]
+        warm = {} if warm is None else warm
         out = np.zeros((self.n_agents, self.n_assets))
-        for w, xw, group, selections in self._cluster_selections(x):
-            for (i, spec), sel in zip(group, selections):
-                if sel.size == 0:
-                    out[i] = self._fallback_row(spec, "absolute")
-                    continue
-                x0 = None if warm is None else warm.get(i)
-                h = fundsep.log_optimal_controls(xw[sel], "absolute", x0=x0)
-                if warm is not None:
-                    warm[i] = h
-                out[i, self._cols[w]] = h
+        for w, cols in enumerate(self._cols):
+            xw = np.ascontiguousarray(x[:, cols])
+            for _, group, selections in _block_selections(xw, t, t + 1, self._groups[w],
+                                                          *self._match_args):
+                for (i, spec), sel in zip(group, selections):
+                    if sel.size == 0:
+                        out[i] = self._fallback_row(spec, "absolute")
+                        continue
+                    warm[i] = fundsep.log_optimal_controls(xw[sel], "absolute", x0=warm.get(i))
+                    out[i, cols] = warm[i]
         return out

@@ -19,10 +19,10 @@ import time
 import numpy as np
 import pytest
 
-from zeroport import fundsep, ksstats, synth
+from zeroport import fundsep, ksstats, patterns, synth
 from zeroport.learner import run_backtest, renormalize_mixture
 from zeroport.marketdata import load_relatives_csv, select_tickers
-from zeroport.patterns import MatchConfig, PatternAgents, agent_grid, match
+from zeroport.patterns import ClusterMap, MatchConfig, PatternAgents, agent_grid, match
 from zeroport.run import (
     GridConfig,
     WealthTrack,
@@ -216,6 +216,30 @@ def test_c6_no_lookahead_truncation_1000_cases():
                                                        ("absolute", "active"))
         for mode in ("absolute", "active"):
             assert from_full[mode].tobytes() == fresh[mode].tobytes()
+
+
+@pytest.mark.parametrize("rule, partition", [
+    ("trivial", "trivial"), ("gyorfi_nn", "trivial"),
+    ("trivial", "overlapping"), ("trivial", "exclusive"),
+])
+def test_c6_series_equals_fresh_multi_every_period(rule, partition):
+    # controls_series scores periods in blocks; every period must still be
+    # the bits of a fresh controls_multi on the truncated history, across
+    # at least two block boundaries and with tied (flat) rows in the input.
+    rng = np.random.default_rng(60)
+    t_total = 2 * patterns._SOLVE_CHUNK + 11
+    x = np.exp(rng.normal(0.0, 0.03, size=(t_total, 5)))
+    x[::9] = 1.0
+    clusters = ClusterMap(members=((0, 1, 2), (3, 4)), names=("A", "B"))
+    specs = agent_grid(3, 3, n_clusters=2, horizons=(1, 2))
+    cfg = MatchConfig(rule=rule, partition=partition)
+    modes = ("absolute", "active")
+    series = PatternAgents(specs, 5, clusters=clusters, config=cfg).controls_series(x, modes)
+    for t in range(t_total):
+        fresh = PatternAgents(specs, 5, clusters=clusters, config=cfg)
+        alone = fresh.controls_multi(x[:t].copy(), modes)
+        for mode in modes:
+            assert series[mode][t].tobytes() == alone[mode].tobytes(), (t, mode)
 
 
 def test_c6_mode_normalization_1000_cases():

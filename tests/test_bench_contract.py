@@ -65,3 +65,25 @@ def test_engine_checks_pass(market, rule):
     checks.check_engine(ck, market, make_engine, stacks, tracks, [8, 30, PERIODS - 1])
     assert ck.ok, ck.failures
     assert np.all(np.isfinite(stacks["active"]))
+
+
+@pytest.mark.parametrize("rule", ["trivial", "gyorfi_nn"])
+def test_series_selects_through_stable_smallest(market, monkeypatch, rule):
+    # benchmarks/selftest.py injects its engine fault at patterns._stable_smallest;
+    # every live (period, tau, k) group of a trivial-partition series must call it.
+    calls = []
+    original = patterns._stable_smallest
+
+    def counted(scores, n_smallest):
+        calls.append(scores.shape[0])
+        return original(scores, n_smallest)
+
+    monkeypatch.setattr(patterns, "_stable_smallest", counted)
+    clusters = patterns.ClusterMap(members=((0, 1), (2, 3)), names=("A", "B"))
+    specs = agent_grid(3, 4, n_clusters=2, horizons=(1, 2))
+    engine = PatternAgents(specs, 4, clusters=clusters, config=MatchConfig(rule=rule))
+    engine.controls_series(market, MODES)
+    live = sum(1 for spec in specs if spec.ell == 1
+               for t in range(PERIODS) if t - spec.tau - spec.k + 1 > 0)
+    assert len(calls) == live
+    assert all(n > 0 for n in calls)

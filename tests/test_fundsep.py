@@ -162,6 +162,22 @@ class TestRegularize:
         out = fundsep.regularize(sigma)
         np.testing.assert_allclose(out, out.T)
 
+    def test_deficient_mask_changes_no_bits(self, rng):
+        # Flagged matrices skip the eigenvalue test; they fail it anyway.
+        for _ in range(50):
+            m = int(rng.integers(2, 7))
+            n_samples = rng.integers(1, 2 * m + 2, size=int(rng.integers(1, 12)))
+            stack = []
+            for n in n_samples:
+                y = rng.normal(0.0, 0.02, size=(n, m))
+                if rng.integers(3) == 0:  # singular although not flagged
+                    y[:, 0] = y[:, 1]
+                stack.append(np.cov(y, rowvar=False) if n > 1 else np.zeros((m, m)))
+            stack = np.array(stack)
+            deficient = n_samples <= m
+            masked = fundsep.regularize(stack, assume_deficient=deficient)
+            assert masked.tobytes() == fundsep.regularize(stack).tobytes()
+
 
 class TestProjection:
     def test_already_on_simplex(self, rng):

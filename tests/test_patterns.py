@@ -218,6 +218,15 @@ class TestGenerateControls:
                 outside = [m for m in range(4) if m not in cmap.members[spec.cluster]]
                 np.testing.assert_array_equal(h[i, outside], 0.0)
 
+    def test_cluster_without_agents(self, rng):
+        x = random_history(rng, t=70, m=4)
+        cmap = ClusterMap(members=((0, 1), (2, 3)), names=("L", "R"))
+        engine = PatternAgents(agent_grid(2, 2), 4, clusters=cmap)
+        stacks = engine.controls_series(x)
+        assert np.all(stacks["absolute"][:, :, 2:] == 0.0)
+        assert np.all(stacks["absolute"][-1, :, :2].sum(axis=1) > 0.99)
+        assert np.all(engine.controls_numeric(x)[:, 2:] == 0.0)
+
     def test_mode_normalization_rows(self, rng):
         x = random_history(rng, t=50, m=3)
         specs = agent_grid(3, 4)
@@ -286,18 +295,44 @@ class TestEngineSelections:
                                         brute_partition_matches(x[:t], k, masks, tau)]
                         assert rows.tolist() == expected, (t, spec)
 
-    @pytest.mark.parametrize("t", [400, 1400, 2000])
-    def test_moments_equal_sample_moments_of_match(self, t):
+    @pytest.mark.parametrize("rule, partition, t", [
+        pytest.param("gyorfi_nn", "trivial", t, id=str(t)) for t in (400, 1400, 2000)
+    ] + [
+        pytest.param("trivial", kind, t, id=f"rule-trivial-partition-{kind}-{t}")
+        for kind in ("trivial", "overlapping", "exclusive") for t in (400, 2000)
+    ])
+    def test_moments_equal_sample_moments_of_match(self, rule, partition, t):
         # One moments path at every size, including past the sizes where
         # matched samples reach ell-hat * m^2 > 65536 floats.
         x = synth.generate(synth.SynthSpec(case="SDC3", periods=t, seed=3)).values
-        engine = PatternAgents(agent_grid(5, 10), 10, config=MatchConfig(rule="gyorfi_nn"))
-        blocks, unmatched = engine._cluster_blocks(x)
-        rows, mus, covs, _ = blocks[0]
-        assert unmatched.size == 0
+        engine = PatternAgents(agent_grid(5, 10), 10,
+                               config=MatchConfig(rule=rule, partition=partition))
+        matched, unmatched = engine._block_moments(x, t, t + 1, 0)
+        periods, rows, mus, covs, _ = matched
+        assert unmatched == []
+        assert periods.tolist() == [t] * engine.n_agents
         assert sorted(rows.tolist()) == list(range(engine.n_agents))
         for i, mu, cov in zip(rows, mus, covs):
-            res = match(x, engine.specs[i], rule="gyorfi_nn", levels=10)
+            res = match(x, engine.specs[i], partition=partition, rule=rule, levels=10)
             mu_ref, cov_ref = sample_moments(res.agent_tuple)
             np.testing.assert_allclose(mu, mu_ref, rtol=1e-10, atol=1e-15)
             np.testing.assert_allclose(cov, cov_ref, rtol=1e-10, atol=1e-15)
+
+    @pytest.mark.parametrize("rule, partition", [
+        ("trivial", "trivial"), ("gyorfi_nn", "trivial"),
+        ("trivial", "overlapping"), ("trivial", "exclusive"),
+    ])
+    def test_series_fallback_count_equals_fresh_multi(self, rng, rule, partition):
+        # The benchmark's patterns.fallback_agent_periods reads fallback_count.
+        x = random_history(rng, t=80, m=3)
+        cfg = MatchConfig(rule=rule, partition=partition)
+        specs = agent_grid(4, 6, horizons=(1, 3))
+        engine = PatternAgents(specs, 3, config=cfg)
+        engine.controls_series(x)
+        expected = 0
+        for t in range(x.shape[0]):
+            fresh = PatternAgents(specs, 3, config=cfg)
+            fresh.controls_multi(x[:t])
+            expected += fresh.fallback_count
+        assert expected > 0
+        assert engine.fallback_count == expected
