@@ -33,10 +33,14 @@ class SolverError(RuntimeError):
     """Covariance could not be factorized even after regularization."""
 
     def __init__(self, message: str, condition: float | None = None):
+        self.message = message
+        self.condition = condition
         if condition is not None:
             message = f"{message} (condition estimate {condition:.3e})"
         super().__init__(message)
-        self.condition = condition
+
+    def __reduce__(self):
+        return type(self), (self.message, self.condition)
 
 
 def regularize(sigma, eps: float = DEFAULT_RIDGE, assume_deficient=None):

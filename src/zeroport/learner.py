@@ -34,6 +34,9 @@ class BankruptcyError(RuntimeError):
         self.culprit = culprit
         self.growth = growth
 
+    def __reduce__(self):
+        return type(self), (self.period, self.culprit, self.growth)
+
 
 @dataclass(frozen=True)
 class MixtureRule:

@@ -47,10 +47,14 @@ class DataError(ValueError):
     """Malformed market data; carries the offending 1-based CSV row."""
 
     def __init__(self, message: str, row: int | None = None):
+        self.message = message
+        self.row = row
         if row is not None:
             message = f"row {row}: {message}"
         super().__init__(message)
-        self.row = row
+
+    def __reduce__(self):
+        return type(self), (self.message, self.row)
 
 
 def _parse_timestamp(raw: str, row: int) -> datetime:

@@ -13,8 +13,11 @@ from __future__ import annotations
 import csv
 import gc
 import json
+import multiprocessing
+import os
 import statistics
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -38,6 +41,10 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+        self.message = message
+
+    def __reduce__(self):
+        return type(self), (self.path, self.message)
 
 
 class TimingOrderError(AssertionError):
@@ -47,6 +54,13 @@ class TimingOrderError(AssertionError):
 def _expect(cond, path, message):
     if not cond:
         raise ConfigError(path, message)
+
+
+def _number(value, path) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(path, f"must be a number, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -112,15 +126,17 @@ def config_from_dict(doc: dict) -> RunConfig:
         raise ConfigError("rule", str(exc)) from exc
 
     grid_doc = doc.get("grid", {})
+    _expect(isinstance(grid_doc, dict), "grid", "must be a mapping")
     windows = grid_doc.get("windows", 5)
     levels = grid_doc.get("levels", 10)
-    horizons = tuple(grid_doc.get("horizons", [1]))
+    horizons = grid_doc.get("horizons", [1])
     _expect(isinstance(windows, int) and windows >= 1, "grid.windows",
             "must be an integer >= 1")
     _expect(isinstance(levels, int) and levels >= 1, "grid.levels",
             "must be an integer >= 1")
-    _expect(all(isinstance(h, int) and h >= 1 for h in horizons), "grid.horizons",
-            "must be integers >= 1")
+    _expect(isinstance(horizons, (list, tuple)) and horizons
+            and all(isinstance(h, int) and h >= 1 for h in horizons), "grid.horizons",
+            "must be a nonempty list of integers >= 1")
 
     match_doc = doc.get("matching", {})
     _expect(isinstance(match_doc, dict), "matching", "must be a mapping")
@@ -145,18 +161,19 @@ def config_from_dict(doc: dict) -> RunConfig:
                 "must be a nonempty mapping of name -> ticker list")
 
     frictions = doc.get("frictions", {})
-    cost_bps = float(frictions.get("cost_bps", 0.0))
+    _expect(isinstance(frictions, dict), "frictions", "must be a mapping")
+    cost_bps = _number(frictions.get("cost_bps", 0.0), "frictions.cost_bps")
     _expect(cost_bps >= 0.0, "frictions.cost_bps", "must be >= 0")
     flat = frictions.get("flat_turnover")
     if flat is not None:
-        flat = float(flat)
+        flat = _number(flat, "frictions.flat_turnover")
         _expect(flat >= 0.0, "frictions.flat_turnover", "must be >= 0")
 
     return RunConfig(
         data=dict(data),
         mode=mode,
         rule=rule,
-        grid=GridConfig(windows=windows, levels=levels, horizons=horizons),
+        grid=GridConfig(windows=windows, levels=levels, horizons=tuple(horizons)),
         matching=matching,
         clusters=clusters,
         baselines=dict(doc.get("baselines", {})),
@@ -366,34 +383,73 @@ def run_case_seed(cfg: RunConfig, case: str, seed: int, modes=("absolute", "acti
     return out
 
 
+def _case_seed_triples(cfg: RunConfig, case: str, seed: int, modes) -> dict:
+    """{mode: RunTriple} of one case-seed: all that a batch keeps of it."""
+    return {mode: triple for mode, (_, triple) in run_case_seed(cfg, case, seed, modes).items()}
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_jobs(cfg: RunConfig, jobs, modes, workers: int) -> list:
+    """Triples of every (case, seed) in ``jobs``, in order.
+
+    More than one worker runs the jobs in a pool of forked processes, which
+    inherit the loaded modules and BLAS set-up, so their trajectories are
+    bit-identical to an in-process run.  A job that raises cancels the
+    jobs not yet started, and no worker outlives the call.
+    """
+    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [_case_seed_triples(cfg, case, seed, modes) for case, seed in jobs]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(_case_seed_triples, cfg, case, seed, modes)
+                   for case, seed in jobs]
+        try:
+            return [future.result() for future in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def batch(cfg: RunConfig, outdir=None, cases=synth.CASES, seeds=range(1, 31),
-          modes=("absolute", "active")) -> dict:
-    """Seed sweep over synthetic cases plus the KS battery and cross tables."""
+          modes=("absolute", "active"), workers: int | None = None) -> dict:
+    """Seed sweep over synthetic cases plus the KS battery and cross tables.
+
+    The (case, seed) runs go to ``workers`` processes, by default one per
+    usable core; the results do not depend on the worker count.
+    """
     seeds = list(seeds)
     if cfg.data.get("kind") != "synth":
         raise ConfigError("data.kind", "batch mode sweeps synthetic cases")
+    jobs = [(case, seed) for case in cases for seed in seeds]
+    if workers is None:
+        workers = _usable_cores()
+    elif workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = max(1, min(workers, len(jobs)))
     t0 = time.perf_counter()
     triples = {mode: {case: [] for case in cases} for mode in modes}
-    terminals = {mode: {case: [] for case in cases} for mode in modes}
-    best_agents = {mode: {case: [] for case in cases} for mode in modes}
-    trajectories = {mode: {case: [] for case in cases} for mode in modes}
-    for case in cases:
-        for seed in seeds:
-            result = run_case_seed(cfg, case, seed, modes)
-            for mode in modes:
-                track, triple = result[mode]
-                triples[mode][case].append(triple)
-                terminals[mode][case].append(track.terminal)
-                best_agents[mode][case].append(float(triple.best_agent[-1]))
-                trajectories[mode][case].append(track.wealth)
+    for (case, _), result in zip(jobs, _run_jobs(cfg, jobs, modes, workers)):
+        for mode in modes:
+            triples[mode][case].append(result[mode])
     runtime = time.perf_counter() - t0
 
+    terminals = {mode: {case: [float(tr.portfolio[-1]) for tr in runs]
+                        for case, runs in by_case.items()} for mode, by_case in triples.items()}
+    best_agents = {mode: {case: [float(tr.best_agent[-1]) for tr in runs]
+                          for case, runs in by_case.items()} for mode, by_case in triples.items()}
     battery = {mode: {case: ksstats.hypothesis_battery(triples[mode][case])
                       for case in cases} for mode in modes}
-    cross = {mode: ksstats.cross_case_comparison(trajectories[mode]) for mode in modes}
+    cross = {mode: ksstats.cross_case_comparison(
+        {case: [tr.portfolio for tr in triples[mode][case]] for case in cases})
+        for mode in modes}
 
     summary = {"cases": list(cases), "seeds": seeds, "runtime_seconds": runtime,
-               "wealth": {}}
+               "workers": workers, "wealth": {}}
     for mode in modes:
         summary["wealth"][mode] = {
             case: {

@@ -1,11 +1,17 @@
 import json
+import multiprocessing
+import os
+import pickle
 
 import numpy as np
 import pytest
 import yaml
 
 from zeroport import cli, synth
+from zeroport import run as run_module
+from zeroport.fundsep import SolverError
 from zeroport.learner import BankruptcyError, WealthTrack
+from zeroport.marketdata import DataError
 from zeroport.run import (
     ConfigError,
     GridConfig,
@@ -89,6 +95,22 @@ class TestConfig:
     def test_override_requires_equals(self):
         with pytest.raises(ConfigError):
             apply_overrides(make_doc(), ["mode active"])
+
+
+@pytest.mark.parametrize("exc", [
+    ConfigError("grid.windows", "must be an integer >= 1"),
+    BankruptcyError(3, "x", -0.1),
+    DataError("unparsable price", row=7),
+    DataError("no rows"),
+    SolverError("covariance not positive definite", condition=3.5e17),
+    SolverError("singular"),
+], ids=lambda exc: type(exc).__name__)
+def test_error_survives_pickle(exc):
+    """Errors raised in a batch worker reach the parent through a pickle."""
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc)
+    assert vars(back) == vars(exc)
 
 
 class TestRun:
@@ -180,6 +202,38 @@ class TestBatch:
         for mode in ("absolute", "active"):
             for case in ("SDC1", "SDC4"):
                 assert len(result["terminals"][mode][case]) == 3
+
+    def test_worker_count_changes_no_output(self, tmp_path):
+        cfg = config_from_dict(make_doc(data={"kind": "synth", "case": "SDC1",
+                                              "assets": 3, "periods": 80}))
+        kwargs = dict(cases=("SDC2", "SDC3"), seeds=(4, 5))
+        one = batch(cfg, outdir=tmp_path / "one", workers=1, **kwargs)
+        two = batch(cfg, outdir=tmp_path / "two", workers=2, **kwargs)
+        names = sorted(p.name for p in (tmp_path / "one").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "two").iterdir())
+        for name in names:
+            if name != "summary.json":
+                assert (tmp_path / "one" / name).read_bytes() == \
+                    (tmp_path / "two" / name).read_bytes(), name
+        summaries = [json.loads((tmp_path / d / "summary.json").read_text())
+                     for d in ("one", "two")]
+        assert [s.pop("workers") for s in summaries] == [1, 2]
+        for s in summaries:
+            s.pop("runtime_seconds")
+        assert summaries[0] == summaries[1]
+        for mode, by_case in one["triples"].items():
+            for case, triples in by_case.items():
+                for a, b in zip(triples, two["triples"][mode][case], strict=True):
+                    for field in ("portfolio", "best_agent", "best_stock"):
+                        assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        assert multiprocessing.active_children() == []
+
+    def test_workers_capped_at_case_seeds(self):
+        cfg = config_from_dict(make_doc())
+        result = batch(cfg, cases=("SDC1",), seeds=(1, 2), workers=4)
+        assert result["summary"]["workers"] == 2
+        with pytest.raises(ValueError, match="workers"):
+            batch(cfg, cases=("SDC1",), seeds=(1,), workers=0)
 
     def test_batch_requires_synth(self):
         cfg = config_from_dict({
@@ -280,9 +334,50 @@ class TestCli:
         config.write_text(yaml.safe_dump(make_doc(data={"kind": "synth", "case": "SDC1",
                                                         "assets": 2, "periods": 50})))
         code = cli.main(["batch", str(config), "--seeds", "2", "--cases", "SDC1",
-                         "--output", str(tmp_path / "out")])
+                         "--workers", "1", "--output", str(tmp_path / "out")])
         assert code == 0
         assert (tmp_path / "out" / "stats_absolute.csv").exists()
+        assert json.loads(capsys.readouterr().out)["workers"] == 1
+        assert json.loads((tmp_path / "out" / "summary.json").read_text())["workers"] == 1
+
+    def test_batch_worker_bankruptcy_exit_four(self, tmp_path, monkeypatch, capsys):
+        """A BankruptcyError raised inside a forked worker exits 4, and the
+        pool leaves no process behind."""
+        def ruin(*args, **kwargs):
+            raise BankruptcyError(3, f"pid {os.getpid()}", -0.1)
+
+        monkeypatch.setattr(run_module, "run_backtest", ruin)  # forked workers inherit it
+        config = tmp_path / "cfg.yaml"
+        config.write_text(yaml.safe_dump(make_doc()))
+        code = cli.main(["batch", str(config), "--seeds", "2", "--cases", "SDC1",
+                         "--workers", "2"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "bankruptcy: pid " in err and f"pid {os.getpid()} " not in err
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    def test_batch_workers_must_be_positive(self, tmp_path, value, capsys):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(yaml.safe_dump(make_doc()))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["batch", str(config), "--workers", value])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, path", [
+        ("frictions.cost_bps=abc", "frictions.cost_bps"),
+        ("frictions.flat_turnover=abc", "frictions.flat_turnover"),
+        ("grid.horizons=3", "grid.horizons"),
+        ("grid.horizons=[]", "grid.horizons"),
+        ("grid=3", "grid"),
+        ("frictions=3", "frictions"),
+    ])
+    def test_malformed_value_exit_two(self, tmp_path, override, path, capsys):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(yaml.safe_dump(make_doc()))
+        assert cli.main(["run", str(config), "--set", override]) == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
 
     def test_table5_on_fixture(self, tmp_path, capsys):
         code = cli.main(["table5", str(FIXTURE_DIR / "pair_synthetic.csv"),
