@@ -1,7 +1,7 @@
 """Command-line entry points.
 
     zeroport run CONFIG [--output DIR] [--set key=value ...]
-    zeroport batch CONFIG [--output DIR] [--seeds N] [--workers N] [--set key=value ...]
+    zeroport batch CONFIG [--output DIR] [--seeds N] [--set key=value ...]
     zeroport table5 DATA [--output DIR] [--pairs A:B,C:D] [--resolution Q]
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 bankruptcy.
@@ -16,12 +16,6 @@ import sys
 from . import run as runner
 from .learner import BankruptcyError
 from .marketdata import DataError
-
-
-def _positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,9 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--seeds", type=int, default=30, help="seeds 1..N (default 30)")
     p_batch.add_argument("--cases", default=None,
                          help="comma-separated case subset (default all four)")
-    p_batch.add_argument("--workers", type=_positive_int, default=None,
-                         help="case-seeds run in parallel in forked processes "
-                              "(default: one per usable core)")
     p_batch.add_argument("--set", dest="overrides", action="append", default=[],
                          metavar="KEY=VALUE")
 
@@ -70,8 +61,7 @@ def main(argv=None) -> int:
             cfg = runner.load_config(args.config, args.overrides)
             cases = tuple(args.cases.split(",")) if args.cases else ("SDC1", "SDC2", "SDC3", "SDC4")
             result = runner.batch(cfg, outdir=args.output or cfg.output,
-                                  cases=cases, seeds=range(1, args.seeds + 1),
-                                  workers=args.workers)
+                                  cases=cases, seeds=range(1, args.seeds + 1))
             json.dump(result["summary"], sys.stdout, indent=2, sort_keys=True)
             print()
         else:

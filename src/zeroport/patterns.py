@@ -24,7 +24,6 @@ block, so a series equals repeated one-period calls.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -222,16 +221,6 @@ def _stable_smallest(scores, n_smallest):
     return order[:n_smallest]
 
 
-@functools.lru_cache(maxsize=None)
-def _overlapping_blocks(ells):
-    """Block numbers i = 1..ell and sizes ell of every agent in ``ells``,
-    concatenated, with each agent's [start, end) in them."""
-    ends = np.cumsum(ells)
-    starts = ends - ells
-    return (np.concatenate([np.arange(1, ell + 1) for ell in ells]), np.repeat(ells, ells),
-            starts.tolist(), ends.tolist())
-
-
 def _select(scores, t, k, tau, ells, rule, partition, levels):
     """Matched outcome rows (one int array per level in ``ells``, empty = no
     match) of agents sharing k and tau, from their n > 0 candidates'
@@ -247,17 +236,6 @@ def _select(scores, t, k, tau, ells, rule, partition, levels):
         lhats = [max(1, min(lhat, n)) for lhat in ells]  # clamp to [1, candidates]
         rows = _stable_smallest(scores, max(lhats)) + shift
         return [rows[:lhat] for lhat in lhats]
-    if partition == "overlapping":
-        # Every block is a suffix [lo, n) of the candidates, so its earliest
-        # argmin is the first "record" at or after lo: an index whose score is
-        # the minimum of all scores from it onwards.
-        records = np.flatnonzero(scores == np.minimum.accumulate(scores[::-1])[::-1])
-        block, size, starts, ends = _overlapping_blocks(tuple(ells))
-        lo = t + (-block * t // size)  # as in _block_bounds
-        best = records[np.searchsorted(records, np.minimum(lo, n - 1))] + shift
-        # lo falls with the block number, so an agent's empty blocks come first.
-        empty = np.add.reduceat(lo >= n, starts).tolist()
-        return [best[a + skip:b] for a, b, skip in zip(starts, ends, empty)]
     out = []
     for ell in ells:
         try:
@@ -475,25 +453,20 @@ class PatternAgents:
         short, short_rows, parts, unmatched = [], [], [], []
         block = _block_selections(xw, t0, t1, self._groups[w], *self._match_args)
         for t, group, selections in block:
-            if not trivial:  # a partition agent's rows: at most ell, one per block
-                for (i, _), rows in zip(group, selections):
-                    if rows.size:
-                        short.append((t, i, rows.size, len(short_rows)))
-                        short_rows.append(rows)
-                    else:
-                        unmatched.append((t, i))
-                continue
-            rows = max(selections, key=len)
-            ids, lens = [i for i, _ in group], [sel.size for sel in selections]
-            if not rows.size:  # a trivial-partition group matches all or none
-                unmatched += [(t, i) for i in ids]
-            elif rows.size <= self.levels:
-                short += [(t, i, n, len(short_rows)) for i, n in zip(ids, lens)]
-                short_rows.append(rows)
-            else:
-                lens = np.array(lens)
-                parts.append(([t] * len(ids), ids, lens, *_prefix_moments(
-                    xw[rows][None], np.zeros_like(lens), lens, np.unique(lens))))
+            runs = [(group, selections)] if trivial else \
+                [([agent], [sel]) for agent, sel in zip(group, selections)]
+            for agents, sels in runs:
+                rows = max(sels, key=len)
+                ids, lens = [i for i, _ in agents], [sel.size for sel in sels]
+                if not rows.size:  # a trivial-partition group matches all or none
+                    unmatched += [(t, i) for i in ids]
+                elif rows.size <= self.levels:
+                    short += [(t, i, n, len(short_rows)) for i, n in zip(ids, lens)]
+                    short_rows.append(rows)
+                else:
+                    lens = np.array(lens)
+                    parts.append(([t] * len(ids), ids, lens, *_prefix_moments(
+                        xw[rows][None], np.zeros_like(lens), lens, np.unique(lens))))
         if short:
             sizes = np.array([rows.size for rows in short_rows])
             idx = np.zeros((sizes.size, sizes.max()), dtype=np.intp)  # unread past a list's end

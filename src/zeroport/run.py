@@ -16,6 +16,7 @@ import json
 import multiprocessing
 import os
 import statistics
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -403,7 +404,7 @@ def _run_jobs(cfg: RunConfig, jobs, modes, workers: int) -> list:
     bit-identical to an in-process run.  A job that raises cancels the
     jobs not yet started, and no worker outlives the call.
     """
-    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+    if workers == 1:
         return [_case_seed_triples(cfg, case, seed, modes) for case, seed in jobs]
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
         futures = [pool.submit(_case_seed_triples, cfg, case, seed, modes)
@@ -416,21 +417,22 @@ def _run_jobs(cfg: RunConfig, jobs, modes, workers: int) -> list:
 
 
 def batch(cfg: RunConfig, outdir=None, cases=synth.CASES, seeds=range(1, 31),
-          modes=("absolute", "active"), workers: int | None = None) -> dict:
+          modes=("absolute", "active")) -> dict:
     """Seed sweep over synthetic cases plus the KS battery and cross tables.
 
-    The (case, seed) runs go to ``workers`` processes, by default one per
-    usable core; the results do not depend on the worker count.
+    The (case, seed) runs go to forked worker processes, one per usable core
+    and at most one per run; the results do not depend on their number.  The
+    runs stay in this process on one core, where ``fork`` is missing, or
+    while this process has other Python threads: a forked child could
+    inherit a lock one of them holds and hang.
     """
     seeds = list(seeds)
     if cfg.data.get("kind") != "synth":
         raise ConfigError("data.kind", "batch mode sweeps synthetic cases")
     jobs = [(case, seed) for case in cases for seed in seeds]
-    if workers is None:
-        workers = _usable_cores()
-    elif workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    workers = max(1, min(workers, len(jobs)))
+    workers = max(1, min(_usable_cores(), len(jobs)))
+    if threading.active_count() > 1 or "fork" not in multiprocessing.get_all_start_methods():
+        workers = 1
     t0 = time.perf_counter()
     triples = {mode: {case: [] for case in cases} for mode in modes}
     for (case, _), result in zip(jobs, _run_jobs(cfg, jobs, modes, workers)):

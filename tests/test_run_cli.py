@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -203,12 +204,14 @@ class TestBatch:
             for case in ("SDC1", "SDC4"):
                 assert len(result["terminals"][mode][case]) == 3
 
-    def test_worker_count_changes_no_output(self, tmp_path):
+    def test_worker_count_changes_no_output(self, tmp_path, monkeypatch):
         cfg = config_from_dict(make_doc(data={"kind": "synth", "case": "SDC1",
                                               "assets": 3, "periods": 80}))
         kwargs = dict(cases=("SDC2", "SDC3"), seeds=(4, 5))
-        one = batch(cfg, outdir=tmp_path / "one", workers=1, **kwargs)
-        two = batch(cfg, outdir=tmp_path / "two", workers=2, **kwargs)
+        results = {}
+        for cores, name in ((1, "one"), (2, "two")):
+            monkeypatch.setattr(run_module, "_usable_cores", lambda: cores)
+            results[name] = batch(cfg, outdir=tmp_path / name, **kwargs)
         names = sorted(p.name for p in (tmp_path / "one").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "two").iterdir())
         for name in names:
@@ -221,19 +224,30 @@ class TestBatch:
         for s in summaries:
             s.pop("runtime_seconds")
         assert summaries[0] == summaries[1]
-        for mode, by_case in one["triples"].items():
+        for mode, by_case in results["one"]["triples"].items():
             for case, triples in by_case.items():
-                for a, b in zip(triples, two["triples"][mode][case], strict=True):
+                for a, b in zip(triples, results["two"]["triples"][mode][case], strict=True):
                     for field in ("portfolio", "best_agent", "best_stock"):
                         assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
         assert multiprocessing.active_children() == []
 
-    def test_workers_capped_at_case_seeds(self):
-        cfg = config_from_dict(make_doc())
-        result = batch(cfg, cases=("SDC1",), seeds=(1, 2), workers=4)
+    def test_workers_capped_at_case_seeds(self, monkeypatch):
+        monkeypatch.setattr(run_module, "_usable_cores", lambda: 4)
+        result = batch(config_from_dict(make_doc()), cases=("SDC1",), seeds=(1, 2))
         assert result["summary"]["workers"] == 2
-        with pytest.raises(ValueError, match="workers"):
-            batch(cfg, cases=("SDC1",), seeds=(1,), workers=0)
+
+    def test_other_thread_keeps_batch_in_process(self, monkeypatch):
+        """No fork while another thread runs: the child could inherit a held lock."""
+        monkeypatch.setattr(run_module, "_usable_cores", lambda: 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            result = batch(config_from_dict(make_doc()), cases=("SDC1",), seeds=(1, 2))
+        finally:
+            release.set()
+            other.join()
+        assert result["summary"]["workers"] == 1
 
     def test_batch_requires_synth(self):
         cfg = config_from_dict({
@@ -334,11 +348,11 @@ class TestCli:
         config.write_text(yaml.safe_dump(make_doc(data={"kind": "synth", "case": "SDC1",
                                                         "assets": 2, "periods": 50})))
         code = cli.main(["batch", str(config), "--seeds", "2", "--cases", "SDC1",
-                         "--workers", "1", "--output", str(tmp_path / "out")])
+                         "--output", str(tmp_path / "out")])
         assert code == 0
         assert (tmp_path / "out" / "stats_absolute.csv").exists()
-        assert json.loads(capsys.readouterr().out)["workers"] == 1
-        assert json.loads((tmp_path / "out" / "summary.json").read_text())["workers"] == 1
+        workers = json.loads(capsys.readouterr().out)["workers"]
+        assert json.loads((tmp_path / "out" / "summary.json").read_text())["workers"] == workers
 
     def test_batch_worker_bankruptcy_exit_four(self, tmp_path, monkeypatch, capsys):
         """A BankruptcyError raised inside a forked worker exits 4, and the
@@ -347,23 +361,14 @@ class TestCli:
             raise BankruptcyError(3, f"pid {os.getpid()}", -0.1)
 
         monkeypatch.setattr(run_module, "run_backtest", ruin)  # forked workers inherit it
+        monkeypatch.setattr(run_module, "_usable_cores", lambda: 2)
         config = tmp_path / "cfg.yaml"
         config.write_text(yaml.safe_dump(make_doc()))
-        code = cli.main(["batch", str(config), "--seeds", "2", "--cases", "SDC1",
-                         "--workers", "2"])
+        code = cli.main(["batch", str(config), "--seeds", "2", "--cases", "SDC1"])
         err = capsys.readouterr().err
         assert code == 4
         assert "bankruptcy: pid " in err and f"pid {os.getpid()} " not in err
         assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("value", ["0", "-1", "two"])
-    def test_batch_workers_must_be_positive(self, tmp_path, value, capsys):
-        config = tmp_path / "cfg.yaml"
-        config.write_text(yaml.safe_dump(make_doc()))
-        with pytest.raises(SystemExit) as exit_info:
-            cli.main(["batch", str(config), "--workers", value])
-        assert exit_info.value.code == 2
-        assert "--workers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override, path", [
         ("frictions.cost_bps=abc", "frictions.cost_bps"),
