@@ -54,8 +54,11 @@ def regularize(sigma, eps: float = DEFAULT_RIDGE, assume_deficient=None):
     ``assume_deficient`` is a boolean mask over the stacked matrices that
     are known rank-deficient (sample covariances with no more samples than
     assets).  Those provably fail the eigenvalue test, so only the matrices
-    it does not flag are decomposed; the ridge added is identical either
-    way.
+    it does not flag are tested, in one step: a batched Cholesky factor of
+    ``sigma - eps * trace/M * I`` that succeeds, with finite entries, shows
+    that every one of them clears the floor.  Only when it does not are
+    their smallest eigenvalues computed (``eigvalsh``).  The ridge added is
+    identical either way.
     """
     s = np.asarray(sigma, dtype=float)
     if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
@@ -64,13 +67,18 @@ def regularize(sigma, eps: float = DEFAULT_RIDGE, assume_deficient=None):
     m = s.shape[-1]
     trace = np.trace(s, axis1=-2, axis2=-1)
     scale = np.where(trace > 0.0, trace / m, 1.0)
-    if assume_deficient is None:
-        need = np.linalg.eigvalsh(s)[..., 0] < eps * scale
-    else:
-        need = np.array(np.broadcast_to(assume_deficient, s.shape[:-2]), dtype=bool)
-        test = ~need
-        if np.any(test):
-            need[test] = np.linalg.eigvalsh(s[test])[:, 0] < eps * scale[test]
+    deficient = False if assume_deficient is None else assume_deficient
+    need = np.array(np.broadcast_to(deficient, s.shape[:-2]), dtype=bool)
+    test = ~need
+    if np.any(test):
+        floor = eps * scale[test]
+        shifted = s[test] - floor[:, None, None] * np.eye(m)
+        try:  # a finite factor of s - floor * I: every tested matrix clears the floor
+            clear = np.isfinite(np.linalg.cholesky(shifted)).all()
+        except np.linalg.LinAlgError:
+            clear = False
+        if not clear:
+            need[test] = np.linalg.eigvalsh(s[test])[:, 0] < floor
     if np.any(need):
         bump = np.where(need, eps * scale, 0.0)
         s = s + bump[..., None, None] * np.eye(m)

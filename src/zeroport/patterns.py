@@ -16,10 +16,11 @@ The engine runs per cluster over blocks of periods.  Two distance matrices
 between the block's query rows and every earlier row are built once and
 every window's scores follow by lagged adds (:func:`_block_selections`);
 each (period, tau, k) group then selects its rows.  The moments of a
-block's short row lists are summed in one stacked call, a long gyorfi_nn
-list in a call of its own (:func:`_prefix_moments`), and one fund solve
-maps the block's moments to controls.  A period gets the same bits in any
-block, so a series equals repeated one-period calls.
+block's short row lists are summed in one stacked call, and the long
+gyorfi_nn lists in one stacked call per set of prefix lengths, which the
+k-groups of a period normally share (:func:`_prefix_moments`); one fund
+solve maps the block's moments to controls.  A period gets the same bits
+in any block, so a series equals repeated one-period calls.
 """
 
 from __future__ import annotations
@@ -446,11 +447,13 @@ class PatternAgents:
         "Deficient" covariances have no more samples than assets.  A
         trivial-partition group's selections are prefixes of one sorted row
         list; a partition agent's rows are a list of their own.  Lists of at
-        most ``levels`` rows (trivial rule, partitions) are stacked into one
-        moments call; each longer (gyorfi_nn) list gets a call of its own.
+        most ``levels`` rows (trivial rule, partitions) are stacked, padded,
+        into one moments call.  Longer (gyorfi_nn) lists are stacked by their
+        prefix lengths, one call per set; each list's sums do not depend on
+        which lists share its stack, so the bits equal a one-list call's.
         """
         trivial = self.config.partition == "trivial"
-        short, short_rows, parts, unmatched = [], [], [], []
+        stacks, unmatched = {}, []
         block = _block_selections(xw, t0, t1, self._groups[w], *self._match_args)
         for t, group, selections in block:
             runs = [(group, selections)] if trivial else \
@@ -460,22 +463,21 @@ class PatternAgents:
                 ids, lens = [i for i, _ in agents], [sel.size for sel in sels]
                 if not rows.size:  # a trivial-partition group matches all or none
                     unmatched += [(t, i) for i in ids]
-                elif rows.size <= self.levels:
-                    short += [(t, i, n, len(short_rows)) for i, n in zip(ids, lens)]
-                    short_rows.append(rows)
-                else:
-                    lens = np.array(lens)
-                    parts.append(([t] * len(ids), ids, lens, *_prefix_moments(
-                        xw[rows][None], np.zeros_like(lens), lens, np.unique(lens))))
-        if short:
-            sizes = np.array([rows.size for rows in short_rows])
-            idx = np.zeros((sizes.size, sizes.max()), dtype=np.intp)  # unread past a list's end
-            idx[np.arange(sizes.max()) < sizes[:, None]] = np.concatenate(short_rows)
-            periods, ids, lens, which = np.array(short).T
-            parts.append((periods, ids, lens, *_prefix_moments(
-                xw[idx], which, lens, np.arange(1, sizes.max() + 1))))
-        if not parts:
+                    continue
+                key = None if rows.size <= self.levels else tuple(lens)
+                entries, lists = stacks.setdefault(key, ([], []))
+                entries += [(t, i, n, len(lists)) for i, n in zip(ids, lens)]
+                lists.append(rows)
+        if not stacks:
             return None, unmatched
+        parts = []
+        for key, (entries, lists) in stacks.items():
+            sizes = np.array([rows.size for rows in lists])
+            idx = np.zeros((sizes.size, sizes.max()), dtype=np.intp)  # unread past a list's end
+            idx[np.arange(sizes.max()) < sizes[:, None]] = np.concatenate(lists)
+            periods, ids, lens, which = np.array(entries).T
+            cuts = np.arange(1, sizes.max() + 1) if key is None else np.unique(lens)
+            parts.append((periods, ids, lens, *_prefix_moments(xw[idx], which, lens, cuts)))
         periods, agents, lens, mus, covs = (np.concatenate(col) for col in zip(*parts))
         return (periods, agents, mus, covs, lens <= xw.shape[1]), unmatched
 

@@ -95,16 +95,22 @@ def config_from_dict(doc: dict) -> RunConfig:
 
     data = doc.get("data")
     _expect(isinstance(data, dict), "data", "must be a mapping")
+    data = dict(data)
     kind = data.get("kind")
     _expect(kind in ("synth", "ohlc_csv", "relatives_csv"), "data.kind",
             f"must be synth | ohlc_csv | relatives_csv, got {kind!r}")
     if kind == "synth":
         case = data.get("case")
         _expect(case in synth.CASES, "data.case", f"must be one of {synth.CASES}")
-        for key in ("assets", "periods", "seed"):
+        for key, least in (("assets", 1), ("periods", 2), ("seed", 1)):
             if key in data:
-                _expect(isinstance(data[key], int) and data[key] >= 1, f"data.{key}",
-                        "must be a positive integer")
+                _expect(isinstance(data[key], int) and data[key] >= least, f"data.{key}",
+                        f"must be an integer >= {least}")
+        if "variance" in data:
+            data["variance"] = _number(data["variance"], "data.variance")
+            _expect(data["variance"] >= 0.0, "data.variance", "must be >= 0")
+        _expect("tickers" not in data, "data.tickers",
+                "selects columns of a data file; synthetic data takes data.assets")
     else:
         _expect(isinstance(data.get("path"), str), "data.path", "must name a file")
         if kind == "ohlc_csv":
@@ -160,6 +166,9 @@ def config_from_dict(doc: dict) -> RunConfig:
     if clusters is not None:
         _expect(isinstance(clusters, dict) and clusters, "clusters",
                 "must be a nonempty mapping of name -> ticker list")
+        for name, group in clusters.items():
+            _expect(isinstance(group, list) and group, f"clusters.{name}",
+                    "must be a nonempty list of tickers")
 
     frictions = doc.get("frictions", {})
     _expect(isinstance(frictions, dict), "frictions", "must be a mapping")
@@ -171,7 +180,7 @@ def config_from_dict(doc: dict) -> RunConfig:
         _expect(flat >= 0.0, "frictions.flat_turnover", "must be >= 0")
 
     return RunConfig(
-        data=dict(data),
+        data=data,
         mode=mode,
         rule=rule,
         grid=GridConfig(windows=windows, levels=levels, horizons=tuple(horizons)),
@@ -214,6 +223,9 @@ def load_config(path, overrides=None) -> RunConfig:
 def build_dataset(cfg: RunConfig) -> marketdata.PriceRelativeMatrix:
     data = cfg.data
     if data["kind"] == "synth":
+        down = synth.SynthSpec.down_assets
+        _expect(data["case"] != "SDC4" or data.get("assets", 10) > max(down), "data.assets",
+                f"SDC4 drifts assets {down} down, so it needs at least {max(down) + 1} assets")
         spec = synth.SynthSpec(
             case=data["case"],
             assets=data.get("assets", 10),
@@ -243,6 +255,9 @@ def build_dataset(cfg: RunConfig) -> marketdata.PriceRelativeMatrix:
 
 def build_engine(cfg: RunConfig, matrix) -> PatternAgents:
     if cfg.clusters:
+        for name, group in cfg.clusters.items():
+            missing = [tck for tck in group if tck not in matrix.tickers]
+            _expect(not missing, f"clusters.{name}", f"unknown tickers {missing}")
         cmap = ClusterMap.from_tickers(cfg.clusters, matrix.tickers)
     else:
         cmap = ClusterMap.trivial(len(matrix.tickers))
@@ -318,6 +333,7 @@ def run(cfg: RunConfig, outdir=None) -> dict:
         "portfolio": track.summary(),
         "baselines": {name: tr.summary() for name, tr in extra_tracks.items()},
         "agent_fallbacks": engine.fallback_count,
+        "agent_periods": int(matrix.shape[0]) * engine.n_agents,
         "runtime_seconds": runtimes,
     }
     if net_track is not None:

@@ -178,6 +178,60 @@ class TestRegularize:
             masked = fundsep.regularize(stack, assume_deficient=deficient)
             assert masked.tobytes() == fundsep.regularize(stack).tobytes()
 
+    @staticmethod
+    def _per_matrix_reference(stack, flagged, eps=fundsep.DEFAULT_RIDGE):
+        """Each matrix decided alone by its smallest eigenvalue."""
+        out = []
+        for sigma, deficient in zip(stack, flagged):
+            s = 0.5 * (sigma + sigma.T)
+            trace = np.trace(s)
+            scale = trace / s.shape[0] if trace > 0.0 else 1.0
+            if deficient or np.linalg.eigvalsh(s)[0] < eps * scale:
+                s = s + eps * scale * np.eye(s.shape[0])
+            out.append(s)
+        return np.array(out)
+
+    @pytest.mark.parametrize("masked", [True, False], ids=["mask", "no-mask"])
+    @pytest.mark.parametrize("below", [False, True], ids=["screen", "fallback"])
+    def test_screen_equals_per_matrix_eigvalsh(self, rng, monkeypatch, masked, below):
+        # "screen": every tested matrix clears the floor, so one Cholesky
+        # decides them all; "fallback": one unflagged matrix is below it.
+        m = 5
+        n_samples = [2 * m, 3 * m, m + 3, 40] + ([1, 3, m] if masked else [])
+        stack = []
+        for n in n_samples:
+            y = rng.normal(0.0, 0.02, size=(n, m))
+            stack.append(np.cov(y, rowvar=False) if n > 1 else np.zeros((m, m)))
+        if below:
+            y = rng.normal(0.0, 0.02, size=(3 * m, m))
+            y[:, 0] = y[:, 1]
+            stack.append(np.cov(y, rowvar=False))
+            n_samples.append(3 * m)
+        stack = np.array(stack)
+        deficient = np.array(n_samples) <= m
+        expected = self._per_matrix_reference(stack, deficient)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        out = fundsep.regularize(stack, assume_deficient=deficient if masked else None)
+        assert out.tobytes() == expected.tobytes()
+        assert len(calls) == int(below)
+        if below:  # the fallback decomposes only the matrices the mask leaves
+            assert calls[0][0] == (np.count_nonzero(~deficient) if masked else len(stack))
+
+    def test_screen_keeps_nonfinite_on_eigvalsh(self):
+        # A NaN matrix may factor without error; it must not pass the screen.
+        sigma = np.eye(3)
+        sigma[0, 0] = np.nan
+        stack = np.array([np.eye(3), sigma])
+        try:
+            expected = self._per_matrix_reference(stack, [False, False])
+        except np.linalg.LinAlgError:  # LAPACK builds differ on NaN input
+            with pytest.raises(np.linalg.LinAlgError):
+                fundsep.regularize(stack)
+            return
+        assert fundsep.regularize(stack).tobytes() == expected.tobytes()
+
 
 class TestProjection:
     def test_already_on_simplex(self, rng):

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from zeroport import fundsep, synth
+from zeroport import fundsep, patterns, synth
 from zeroport.patterns import (
     AgentSpec,
     ClusterMap,
     MatchConfig,
     NoMatchError,
     PatternAgents,
+    _prefix_moments,
     agent_grid,
     gyorfi_match_count,
     make_partitions,
@@ -317,6 +318,48 @@ class TestEngineSelections:
             mu_ref, cov_ref = sample_moments(res.agent_tuple)
             np.testing.assert_allclose(mu, mu_ref, rtol=1e-10, atol=1e-15)
             np.testing.assert_allclose(cov, cov_ref, rtol=1e-10, atol=1e-15)
+
+    @pytest.mark.parametrize("m, windows, levels, t0, t1", [
+        pytest.param(3, 6, 2, 2, 34, id="clamped"),  # small t: groups differ in ell-hat
+        pytest.param(10, 5, 10, 400, 432, id="long"),
+    ])
+    def test_block_moments_equal_one_list_calls(self, monkeypatch, m, windows, levels, t0, t1):
+        # Stacking gyorfi_nn lists by their prefix lengths changes no bits:
+        # each list's moments equal a one-list _prefix_moments call.
+        x = synth.generate(synth.SynthSpec(case="SDC3", assets=m, periods=t1, seed=5)).values
+        engine = PatternAgents(agent_grid(windows, levels, horizons=(1, 2)), m,
+                               config=MatchConfig(rule="gyorfi_nn"))
+        calls = []
+        monkeypatch.setattr(patterns, "_prefix_moments",
+                            lambda *args: calls.append(args[0].shape) or _prefix_moments(*args))
+        matched, unmatched = engine._block_moments(x, t0, t1, 0)
+        monkeypatch.undo()
+        periods, agents, mus, covs, _ = matched
+        got = {(t, i): (mu, cov) for t, i, mu, cov in zip(periods, agents, mus, covs)}
+        expected, long_lists, short_lists, lens_seen = {}, 0, 0, set()
+        for t in range(t0, t1):
+            for group in engine._groups[0].values():
+                sels = engine._group_selections(x[:t], group)
+                rows, lens = max(sels, key=len), np.array([sel.size for sel in sels])
+                if not rows.size:
+                    continue
+                if rows.size > levels:
+                    long_lists += 1
+                    lens_seen.add(tuple(lens))
+                else:
+                    short_lists += 1
+                cuts = np.unique(lens) if rows.size > levels else np.arange(1, rows.size + 1)
+                ref = _prefix_moments(x[rows][None], np.zeros_like(lens), lens, cuts)
+                for j, (i, _) in enumerate(group):
+                    expected[(t, i)] = (ref[0][j], ref[1][j])
+        assert sorted(got) == sorted(expected) and len(got) + len(unmatched) == \
+            (t1 - t0) * engine.n_agents
+        for key, (mu, cov) in expected.items():
+            assert got[key][0].tobytes() == mu.tobytes(), key
+            assert got[key][1].tobytes() == cov.tobytes(), key
+        assert len(lens_seen) > 1 and long_lists > len(lens_seen)
+        # One call per set of prefix lengths, plus one for all short lists.
+        assert len(calls) == len(lens_seen) + (short_lists > 0)
 
     @pytest.mark.parametrize("rule, partition", [
         ("trivial", "trivial"), ("gyorfi_nn", "trivial"),

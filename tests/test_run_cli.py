@@ -384,6 +384,50 @@ class TestCli:
         assert cli.main(["run", str(config), "--set", override]) == 2
         assert f"config error: {path}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, path", [
+        (["data.variance=-1"], "data.variance"),
+        (["data.variance=abc"], "data.variance"),
+        (["data.case=SDC4", "data.assets=1"], "data.assets"),
+        (["data.case=SDC4", "data.assets=2"], "data.assets"),
+        (["data.periods=1"], "data.periods"),
+        (["data.tickers=[ZZZ]"], "data.tickers"),
+        (["clusters.A=[ZZZ]"], "clusters.A"),
+        (["clusters.A=[S01]", "clusters.B=[]"], "clusters.B"),
+    ])
+    def test_bad_data_or_cluster_exit_two(self, tmp_path, overrides, path, capsys):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(yaml.safe_dump(make_doc()))
+        argv = ["run", str(config)] + [arg for item in overrides for arg in ("--set", item)]
+        assert cli.main(argv) == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+
+    def test_batch_sdc4_with_two_assets_exit_two(self, tmp_path, capsys):
+        # The config names SDC1, which takes two assets; the batch sweep adds SDC4.
+        config = tmp_path / "cfg.yaml"
+        config.write_text(yaml.safe_dump(make_doc()))
+        code = cli.main(["batch", str(config), "--seeds", "1", "--set", "data.assets=2"])
+        assert code == 2
+        assert "config error: data.assets: " in capsys.readouterr().err
+
+    def test_mostly_fallback_run_warns(self, tmp_path, capsys):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(yaml.safe_dump(make_doc()))
+        assert cli.main(["run", str(config), "--set", "grid.horizons=[2000]"]) == 0
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out)
+        assert summary["agent_fallbacks"] == summary["agent_periods"] == 60 * 2 * 3
+        assert captured.err.count("warning: ") == 1
+        assert f"{summary['agent_fallbacks']} of {summary['agent_periods']}" in captured.err
+
+    def test_mostly_matched_run_does_not_warn(self, tmp_path, capsys):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(yaml.safe_dump(make_doc()))
+        assert cli.main(["run", str(config)]) == 0
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out)
+        assert 0 < summary["agent_fallbacks"] < summary["agent_periods"] / 2
+        assert captured.err == ""
+
     def test_table5_on_fixture(self, tmp_path, capsys):
         code = cli.main(["table5", str(FIXTURE_DIR / "pair_synthetic.csv"),
                          "--pairs", "PAIRA:PAIRB", "--resolution", "40",
