@@ -273,27 +273,18 @@ def run_backtest(x, controls, mode: str, rule: MixtureRule | None = None,
                  record_agents: bool = True, label: str = "portfolio") -> WealthTrack:
     """Run the learner over a full history of price relatives.
 
-    ``controls`` supplies the agent control matrix per period: either a
-    (T, N, M) array or a callable ``controls(t) -> (N, M)`` receiving the
-    history length available when the controls are formed (0 for the first
-    period).  Initial portfolio controls are uniform in absolute mode and
-    all-cash in active mode.
+    ``controls`` is a (T, N, M) array: row t holds the agent control
+    matrices formed from the first t periods.  Initial portfolio controls
+    are uniform in absolute mode and all-cash in active mode.
     """
     x = np.asarray(getattr(x, "values", x), dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("need at least two periods of relatives")
     t_total, m = x.shape
-
-    if callable(controls):
-        fetch = controls
-        h0 = np.asarray(fetch(0), dtype=float)
-    else:
-        arr = np.asarray(controls, dtype=float)
-        if arr.ndim != 3 or arr.shape[0] < t_total:
-            raise ValueError(f"controls array must be (T, N, M) with T >= {t_total}")
-        fetch = lambda t: arr[t]
-        h0 = arr[0]
-    n_agents = h0.shape[0]
+    controls = np.asarray(controls, dtype=float)
+    if controls.ndim != 3 or controls.shape[0] < t_total:
+        raise ValueError(f"controls array must be (T, N, M) with T >= {t_total}")
+    n_agents = controls.shape[1]
 
     state = LearnerState.initial(n_agents, m, mode, rule)
     wealth = np.empty(t_total)
@@ -302,10 +293,10 @@ def run_backtest(x, controls, mode: str, rule: MixtureRule | None = None,
     turnover = np.empty(t_total)
     hold_cash = np.zeros(t_total, dtype=bool)
 
-    h_now = h0
+    h_now = controls[0]
     for t in range(t_total):
         b_hist[t] = state.b
-        h_next = fetch(t + 1) if t + 1 < t_total else None
+        h_next = controls[t + 1] if t + 1 < t_total else None
         report = step(state, x[t], h_now, h_next)
         wealth[t] = state.s_port
         if record_agents:

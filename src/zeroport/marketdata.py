@@ -27,9 +27,6 @@ import numpy as np
 
 CONVENTIONS = ("close_to_close", "open_to_close", "close_to_open", "open_to_open")
 
-# Conventions whose relative needs the previous bar.
-_LAGGED = ("close_to_close", "close_to_open", "open_to_open")
-
 DEFAULT_SCHEMA = {
     "ticker": "ticker",
     "timestamp": "timestamp",

@@ -15,12 +15,13 @@ clamped to [1, candidates]; under the others, the best match per block.
 The engine runs per cluster over blocks of periods.  Two distance matrices
 between the block's query rows and every earlier row are built once and
 every window's scores follow by lagged adds (:func:`_block_selections`);
-each (period, tau, k) group then selects its rows.  The moments of a
-block's short row lists are summed in one stacked call, and the long
-gyorfi_nn lists in one stacked call per set of prefix lengths, which the
+each (period, tau, k) group then selects its rows.  The block's row lists
+are summed in one stacked call per set of prefix lengths, which the
 k-groups of a period normally share (:func:`_prefix_moments`); one fund
-solve maps the block's moments to controls.  A period gets the same bits
-in any block, so a series equals repeated one-period calls.
+solve maps the block's moments to controls.  Agents without a match, or
+whose solve fails, keep the fallback: equal weights on their cluster in
+absolute mode, cash in active mode.  A period gets the same bits in any
+block, so a series equals repeated one-period calls.
 """
 
 from __future__ import annotations
@@ -340,23 +341,20 @@ def sample_moments(outcomes):
 def _prefix_moments(rows, which, lens, cuts):
     """Moments of (rows[g, :n] - 1) for every (g, n) in zip(which, lens).
 
-    ``rows`` stacks G outcome-row lists; ``cuts`` are increasing segment
-    ends, every entry of ``lens`` among them.  Each segment's sums of y and
-    y yᵀ take one product (per-row outer products when every segment is one
-    row, else a matmul) and a running sum over segments gives every
-    prefix's sums in O(n m²); the denominator is n-1 as in
-    :func:`sample_moments`.  Y is taken about each list's first row, so a
-    prefix of identical rows gets an exactly zero covariance.
+    ``rows`` stacks G outcome-row lists of equal length; ``cuts`` are
+    increasing segment ends, every entry of ``lens`` among them.  Each
+    segment's sums of y and y yᵀ take a reduceat and a matmul, and a
+    running sum over segments gives every prefix's sums in O(n m²); the
+    denominator is n-1 as in :func:`sample_moments`.  Y is taken about each
+    list's first row, so a prefix of identical rows gets an exactly zero
+    covariance.
     """
     y = rows - rows[:, :1]
-    if cuts.size == y.shape[1]:
-        s1, s2 = y.copy(), y[..., :, None] * y[..., None, :]
-    else:
-        starts = np.concatenate(([0], cuts[:-1]))
-        s1 = np.add.reduceat(y, starts, axis=1)
-        s2 = np.empty(s1.shape + s1.shape[-1:])
-        for seg, (a, b) in enumerate(zip(starts, cuts)):
-            np.matmul(y[:, a:b].transpose(0, 2, 1), y[:, a:b], out=s2[:, seg])
+    starts = np.concatenate(([0], cuts[:-1]))
+    s1 = np.add.reduceat(y, starts, axis=1)
+    s2 = np.empty(s1.shape + s1.shape[-1:])
+    for seg, (a, b) in enumerate(zip(starts, cuts)):
+        np.matmul(y[:, a:b].transpose(0, 2, 1), y[:, a:b], out=s2[:, seg])
     np.cumsum(s1, axis=1, out=s1)
     np.cumsum(s2, axis=1, out=s2)
     seg = np.searchsorted(cuts, lens)
@@ -417,8 +415,11 @@ class PatternAgents:
         self._cols = [np.asarray(cols, dtype=np.intp) for cols in self.clusters.members]
         # Per cluster, the agents sharing (tau, k) as lists of (index, spec).
         self._groups = [{} for _ in self._cols]
+        # Absolute controls of an agent without a match: equal weights on its cluster.
+        self._fallback = np.zeros((self.n_agents, n_assets))
         for i, spec in enumerate(self.specs):
             self._groups[spec.cluster].setdefault((spec.tau, spec.k), []).append((i, spec))
+            self._fallback[i, self._cols[spec.cluster]] = 1.0 / self._cols[spec.cluster].size
         self._fallbacks = 0
         self._match_args = (self.config.rule, self.config.partition, self.levels)
 
@@ -441,54 +442,42 @@ class PatternAgents:
         return next(block)[2]
 
     def _block_moments(self, xw, t0, t1, w):
-        """((periods, agents, mus, covs, deficient) or None, [(period, agent)]
-        unmatched) for cluster w at history lengths t0 <= t < t1.
+        """(periods, agents, mus, covs, deficient) of the matched agents of
+        cluster w at history lengths t0 <= t < t1, or None if none matched.
 
         "Deficient" covariances have no more samples than assets.  A
         trivial-partition group's selections are prefixes of one sorted row
-        list; a partition agent's rows are a list of their own.  Lists of at
-        most ``levels`` rows (trivial rule, partitions) are stacked, padded,
-        into one moments call.  Longer (gyorfi_nn) lists are stacked by their
-        prefix lengths, one call per set; each list's sums do not depend on
-        which lists share its stack, so the bits equal a one-list call's.
+        list; a partition agent's rows are a list of their own.  Lists are
+        stacked by their prefix lengths, one moments call per set, with a
+        segment per row up to ``levels`` rows and a segment per prefix
+        length beyond; each list's sums do not depend on which lists share
+        its stack, so the bits equal a one-list call's.
         """
         trivial = self.config.partition == "trivial"
-        stacks, unmatched = {}, []
+        stacks = {}
         block = _block_selections(xw, t0, t1, self._groups[w], *self._match_args)
         for t, group, selections in block:
             runs = [(group, selections)] if trivial else \
                 [([agent], [sel]) for agent, sel in zip(group, selections)]
             for agents, sels in runs:
-                rows = max(sels, key=len)
-                ids, lens = [i for i, _ in agents], [sel.size for sel in sels]
-                if not rows.size:  # a trivial-partition group matches all or none
-                    unmatched += [(t, i) for i in ids]
-                    continue
-                key = None if rows.size <= self.levels else tuple(lens)
-                entries, lists = stacks.setdefault(key, ([], []))
-                entries += [(t, i, n, len(lists)) for i, n in zip(ids, lens)]
-                lists.append(rows)
+                lens = tuple(sel.size for sel in sels)
+                if max(lens):  # a trivial-partition group matches all or none
+                    entries, lists = stacks.setdefault(lens, ([], []))
+                    entries += [(t, i, n, len(lists)) for (i, _), n in zip(agents, lens)]
+                    lists.append(max(sels, key=len))
         if not stacks:
-            return None, unmatched
+            return None
         parts = []
         for key, (entries, lists) in stacks.items():
-            sizes = np.array([rows.size for rows in lists])
-            idx = np.zeros((sizes.size, sizes.max()), dtype=np.intp)  # unread past a list's end
-            idx[np.arange(sizes.max()) < sizes[:, None]] = np.concatenate(lists)
             periods, ids, lens, which = np.array(entries).T
-            cuts = np.arange(1, sizes.max() + 1) if key is None else np.unique(lens)
-            parts.append((periods, ids, lens, *_prefix_moments(xw[idx], which, lens, cuts)))
+            n = max(key)
+            cuts = np.arange(1, n + 1) if n <= self.levels else np.unique(lens)
+            parts.append((periods, ids, lens, *_prefix_moments(xw[np.stack(lists)], which, lens,
+                                                               cuts)))
         periods, agents, lens, mus, covs = (np.concatenate(col) for col in zip(*parts))
-        return (periods, agents, mus, covs, lens <= xw.shape[1]), unmatched
+        return periods, agents, mus, covs, lens <= xw.shape[1]
 
     # -- control mapping --------------------------------------------------
-
-    def _fallback_row(self, spec, mode):
-        h = np.zeros(self.n_assets)
-        if mode == "absolute":
-            cols = self._cols[spec.cluster]
-            h[cols] = 1.0 / cols.size
-        return h
 
     def _history(self, history):
         x = np.asarray(getattr(history, "values", history), dtype=float)
@@ -515,32 +504,37 @@ class PatternAgents:
         """Control stacks for history lengths t0 <= t < t1, one slot each.
 
         Per cluster and block of ``_SOLVE_CHUNK`` periods: one pass of the
-        matching kernel, stacked moments and one fund solve.
+        matching kernel, stacked moments and one fund solve.  Every slot
+        starts at the fallback; the solved agents overwrite theirs.
         """
         out = {mode: np.zeros((t1 - t0, self.n_agents, self.n_assets)) for mode in modes}
+        if "absolute" in out:
+            out["absolute"][:] = self._fallback
         for w, cols in enumerate(self._cols):
             xw = np.ascontiguousarray(x[:, cols])  # row-major for the window scans
+            n_agents = sum(len(group) for group in self._groups[w].values())
             for b0 in range(t0, t1, _SOLVE_CHUNK):
                 b1 = min(b0 + _SOLVE_CHUNK, t1)
-                matched, unmatched = self._block_moments(xw, b0, b1, w)
+                matched, solved = self._block_moments(xw, b0, b1, w), 0
                 if matched is not None:
                     periods, agents, mus, covs, deficient = matched
-                    ctrl = self._map_controls(mus, covs, modes, deficient)
+                    ctrl, ok = self._map_controls(mus, covs, modes, deficient)
                     for mode in modes:
-                        out[mode][(periods - t0)[:, None], agents[:, None], cols] = ctrl[mode]
-                self._fallbacks += len(unmatched) * len(modes)
-                if unmatched:
-                    log.debug("%d fallback agent-periods at t in [%d, %d)", len(unmatched), b0, b1)
-                for t, i in unmatched:
-                    for mode in modes:
-                        out[mode][t - t0, i] = self._fallback_row(self.specs[i], mode)
+                        out[mode][(periods[ok] - t0)[:, None], agents[ok, None], cols] = \
+                            ctrl[mode][ok]
+                    solved = int(ok.sum())
+                fell_back = (b1 - b0) * n_agents - solved
+                self._fallbacks += fell_back * len(modes)
+                if fell_back:
+                    log.debug("%d fallback agent-periods at t in [%d, %d)", fell_back, b0, b1)
         return out
 
     def _map_controls(self, mu_b, cov_b, modes, deficient=None):
-        """Controls per mode from one batched fund solve over the agents.
+        """Controls per mode from one batched fund solve over the agents,
+        and a mask of the agents solved.
 
         Rarely the stacked solve fails; then each agent is solved alone and
-        those that still fail take the fallback control.
+        those that still fail are left out of the mask, keeping the fallback.
         """
         cfg = self.config
 
@@ -550,22 +544,22 @@ class PatternAgents:
                 a, b, mode, gamma=cfg.gamma, projection=cfg.projection,
                 absolute_tilt=cfg.absolute_tilt) for mode in modes}
 
+        ok = np.ones(mu_b.shape[0], dtype=bool)
         try:
-            return solve(mu_b, cov_b, deficient)
+            return solve(mu_b, cov_b, deficient), ok
         except fundsep.SolverError:
             pass
         out = {mode: np.zeros_like(mu_b) for mode in modes}
-        m = mu_b.shape[1]
         for i in range(mu_b.shape[0]):
             try:
                 row = solve(mu_b[i], cov_b[i])
             except fundsep.SolverError:
-                self._fallbacks += len(modes)
+                ok[i] = False
                 log.debug("solver fallback for agent row %d", i)
-                row = {"absolute": np.full(m, 1.0 / m), "active": np.zeros(m)}
+                continue
             for mode in modes:
                 out[mode][i] = row[mode]
-        return out
+        return out, ok
 
     def controls(self, history, mode: str):
         """N x M control matrix for the next period in one mode."""
@@ -581,15 +575,14 @@ class PatternAgents:
         x = self._history(history)
         t = x.shape[0]
         warm = {} if warm is None else warm
-        out = np.zeros((self.n_agents, self.n_assets))
+        out = self._fallback.copy()
         for w, cols in enumerate(self._cols):
             xw = np.ascontiguousarray(x[:, cols])
             for _, group, selections in _block_selections(xw, t, t + 1, self._groups[w],
                                                           *self._match_args):
-                for (i, spec), sel in zip(group, selections):
-                    if sel.size == 0:
-                        out[i] = self._fallback_row(spec, "absolute")
-                        continue
-                    warm[i] = fundsep.log_optimal_controls(xw[sel], "absolute", x0=warm.get(i))
-                    out[i, cols] = warm[i]
+                for (i, _), sel in zip(group, selections):
+                    if sel.size:
+                        warm[i] = fundsep.log_optimal_controls(xw[sel], "absolute",
+                                                               x0=warm.get(i))
+                        out[i, cols] = warm[i]
         return out

@@ -31,7 +31,16 @@ from .patterns import ClusterMap, MatchConfig, PatternAgents, agent_grid
 
 SPEC_VERSION = 1
 
-MATCH_KEYS = tuple(f.name for f in fields(MatchConfig))
+ROOT_KEYS = ("spec_version", "data", "mode", "rule", "grid", "matching", "clusters",
+             "frictions", "baselines", "output", "record_agents")
+DATA_KEYS = {
+    "synth": ("kind", "case", "assets", "periods", "seed", "variance"),
+    "relatives_csv": ("kind", "path", "delimiter", "tickers"),
+    "ohlc_csv": ("kind", "path", "delimiter", "tickers", "schema", "convention", "clean",
+                 "clean_lo", "clean_hi"),
+}
+FRICTION_KEYS = ("cost_bps", "flat_turnover")
+BASELINE_KEYS = ("best_stock", "universal_portfolio")
 
 DEFAULT_PAIRS = (("IROQU", "KINAR"), ("COMME", "MEICO"), ("COMME", "KINAR"), ("IBM", "COKE"))
 
@@ -64,6 +73,32 @@ def _number(value, path) -> float:
         raise ConfigError(path, f"must be a number, got {value!r}") from None
 
 
+def _check_keys(section: dict, keys, prefix=""):
+    for key in section:
+        _expect(key in keys, f"{prefix}{key}", f"unknown key; expected one of {', '.join(keys)}")
+
+
+def _section(doc: dict, name: str, keys) -> dict:
+    """``doc[name]`` (empty when absent), a mapping of known keys only."""
+    section = doc.get(name, {})
+    _expect(isinstance(section, dict), name, "must be a mapping")
+    _check_keys(section, keys, f"{name}.")
+    return section
+
+
+def _from_section(doc: dict, name: str, cls):
+    """Dataclass ``cls`` from ``doc[name]``: keys are its fields, values of
+    float fields are parsed as numbers, absent fields take their defaults."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    section = _section(doc, name, tuple(defaults))
+    kwargs = {key: _number(value, f"{name}.{key}") if isinstance(defaults[key], float) else value
+              for key, value in section.items()}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(name, str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class GridConfig:
     windows: int = 5
@@ -92,13 +127,15 @@ def config_from_dict(doc: dict) -> RunConfig:
         raise ConfigError("<root>", "config must be a mapping")
     version = doc.get("spec_version")
     _expect(version == SPEC_VERSION, "spec_version", f"must be {SPEC_VERSION}, got {version!r}")
+    _check_keys(doc, ROOT_KEYS)
 
     data = doc.get("data")
     _expect(isinstance(data, dict), "data", "must be a mapping")
     data = dict(data)
     kind = data.get("kind")
-    _expect(kind in ("synth", "ohlc_csv", "relatives_csv"), "data.kind",
-            f"must be synth | ohlc_csv | relatives_csv, got {kind!r}")
+    _expect(isinstance(kind, str) and kind in DATA_KEYS, "data.kind",
+            f"must be {' | '.join(DATA_KEYS)}, got {kind!r}")
+    _check_keys(data, DATA_KEYS[kind], "data.")
     if kind == "synth":
         case = data.get("case")
         _expect(case in synth.CASES, "data.case", f"must be one of {synth.CASES}")
@@ -109,8 +146,6 @@ def config_from_dict(doc: dict) -> RunConfig:
         if "variance" in data:
             data["variance"] = _number(data["variance"], "data.variance")
             _expect(data["variance"] >= 0.0, "data.variance", "must be >= 0")
-        _expect("tickers" not in data, "data.tickers",
-                "selects columns of a data file; synthetic data takes data.assets")
     else:
         _expect(isinstance(data.get("path"), str), "data.path", "must name a file")
         if kind == "ohlc_csv":
@@ -120,23 +155,12 @@ def config_from_dict(doc: dict) -> RunConfig:
 
     mode = doc.get("mode", "absolute")
     _expect(mode in ("absolute", "active"), "mode", "must be absolute | active")
+    rule = _from_section(doc, "rule", MixtureRule)
 
-    rule_doc = doc.get("rule", {"name": "universal"})
-    _expect(isinstance(rule_doc, dict), "rule", "must be a mapping")
-    try:
-        rule = MixtureRule(
-            name=rule_doc.get("name", "universal"),
-            eta=float(rule_doc.get("eta", 0.05)),
-            lam=float(rule_doc.get("lam", 0.99)),
-        )
-    except ValueError as exc:
-        raise ConfigError("rule", str(exc)) from exc
-
-    grid_doc = doc.get("grid", {})
-    _expect(isinstance(grid_doc, dict), "grid", "must be a mapping")
-    windows = grid_doc.get("windows", 5)
-    levels = grid_doc.get("levels", 10)
-    horizons = grid_doc.get("horizons", [1])
+    grid_doc = _section(doc, "grid", tuple(f.name for f in fields(GridConfig)))
+    windows = grid_doc.get("windows", GridConfig.windows)
+    levels = grid_doc.get("levels", GridConfig.levels)
+    horizons = grid_doc.get("horizons", GridConfig.horizons)
     _expect(isinstance(windows, int) and windows >= 1, "grid.windows",
             "must be an integer >= 1")
     _expect(isinstance(levels, int) and levels >= 1, "grid.levels",
@@ -144,23 +168,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     _expect(isinstance(horizons, (list, tuple)) and horizons
             and all(isinstance(h, int) and h >= 1 for h in horizons), "grid.horizons",
             "must be a nonempty list of integers >= 1")
-
-    match_doc = doc.get("matching", {})
-    _expect(isinstance(match_doc, dict), "matching", "must be a mapping")
-    for key in match_doc:
-        _expect(key in MATCH_KEYS, f"matching.{key}",
-                f"unknown key; expected one of {', '.join(MATCH_KEYS)}")
-    try:
-        matching = MatchConfig(
-            rule=match_doc.get("rule", "trivial"),
-            partition=match_doc.get("partition", "trivial"),
-            gamma=float(match_doc.get("gamma", 1.0)),
-            ridge=float(match_doc.get("ridge", 1e-8)),
-            projection=match_doc.get("projection", "euclidean"),
-            absolute_tilt=match_doc.get("absolute_tilt", "unit_leverage"),
-        )
-    except ValueError as exc:
-        raise ConfigError("matching", str(exc)) from exc
+    matching = _from_section(doc, "matching", MatchConfig)
 
     clusters = doc.get("clusters")
     if clusters is not None:
@@ -170,14 +178,17 @@ def config_from_dict(doc: dict) -> RunConfig:
             _expect(isinstance(group, list) and group, f"clusters.{name}",
                     "must be a nonempty list of tickers")
 
-    frictions = doc.get("frictions", {})
-    _expect(isinstance(frictions, dict), "frictions", "must be a mapping")
+    frictions = _section(doc, "frictions", FRICTION_KEYS)
     cost_bps = _number(frictions.get("cost_bps", 0.0), "frictions.cost_bps")
     _expect(cost_bps >= 0.0, "frictions.cost_bps", "must be >= 0")
     flat = frictions.get("flat_turnover")
     if flat is not None:
         flat = _number(flat, "frictions.flat_turnover")
         _expect(flat >= 0.0, "frictions.flat_turnover", "must be >= 0")
+
+    base = _section(doc, "baselines", BASELINE_KEYS)
+    if isinstance(base.get("universal_portfolio"), dict):
+        _check_keys(base["universal_portfolio"], ("resolution",), "baselines.universal_portfolio.")
 
     return RunConfig(
         data=data,
@@ -186,7 +197,7 @@ def config_from_dict(doc: dict) -> RunConfig:
         grid=GridConfig(windows=windows, levels=levels, horizons=tuple(horizons)),
         matching=matching,
         clusters=clusters,
-        baselines=dict(doc.get("baselines", {})),
+        baselines=dict(base),
         cost_bps=cost_bps,
         flat_turnover=flat,
         output=doc.get("output"),
@@ -445,6 +456,9 @@ def batch(cfg: RunConfig, outdir=None, cases=synth.CASES, seeds=range(1, 31),
     seeds = list(seeds)
     if cfg.data.get("kind") != "synth":
         raise ConfigError("data.kind", "batch mode sweeps synthetic cases")
+    unknown = [case for case in cases if case not in synth.CASES]
+    _expect(not unknown, "cases", f"unknown synthetic cases {unknown}; "
+            f"expected some of {', '.join(synth.CASES)}")
     jobs = [(case, seed) for case in cases for seed in seeds]
     workers = max(1, min(_usable_cores(), len(jobs)))
     if threading.active_count() > 1 or "fork" not in multiprocessing.get_all_start_methods():

@@ -204,18 +204,6 @@ class TestRunBacktest:
         assert a.agent_wealth.tobytes() == b.agent_wealth.tobytes()
         assert a.controls.tobytes() == b.controls.tobytes()
 
-    def test_callable_controls_interface(self, rng):
-        x = np.exp(rng.normal(0, 0.02, size=(12, 2)))
-        calls = []
-
-        def controls(t):
-            calls.append(t)
-            return np.full((2, 2), 0.5)
-
-        track = run_backtest(x, controls, "absolute")
-        assert calls == list(range(12))
-        assert track.n_periods == 12
-
     def test_too_short_history(self):
         with pytest.raises(ValueError):
             run_backtest(np.ones((1, 2)), np.full((1, 1, 2), 0.5), "absolute")

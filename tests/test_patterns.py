@@ -308,9 +308,8 @@ class TestEngineSelections:
         x = synth.generate(synth.SynthSpec(case="SDC3", periods=t, seed=3)).values
         engine = PatternAgents(agent_grid(5, 10), 10,
                                config=MatchConfig(rule=rule, partition=partition))
-        matched, unmatched = engine._block_moments(x, t, t + 1, 0)
-        periods, rows, mus, covs, _ = matched
-        assert unmatched == []
+        periods, rows, mus, covs, _ = engine._block_moments(x, t, t + 1, 0)
+        assert periods.size == engine.n_agents  # every agent matched
         assert periods.tolist() == [t] * engine.n_agents
         assert sorted(rows.tolist()) == list(range(engine.n_agents))
         for i, mu, cov in zip(rows, mus, covs):
@@ -324,42 +323,41 @@ class TestEngineSelections:
         pytest.param(10, 5, 10, 400, 432, id="long"),
     ])
     def test_block_moments_equal_one_list_calls(self, monkeypatch, m, windows, levels, t0, t1):
-        # Stacking gyorfi_nn lists by their prefix lengths changes no bits:
-        # each list's moments equal a one-list _prefix_moments call.
+        # Stacking row lists by their prefix lengths changes no bits: each
+        # list's moments equal a one-list _prefix_moments call.
         x = synth.generate(synth.SynthSpec(case="SDC3", assets=m, periods=t1, seed=5)).values
         engine = PatternAgents(agent_grid(windows, levels, horizons=(1, 2)), m,
                                config=MatchConfig(rule="gyorfi_nn"))
         calls = []
         monkeypatch.setattr(patterns, "_prefix_moments",
                             lambda *args: calls.append(args[0].shape) or _prefix_moments(*args))
-        matched, unmatched = engine._block_moments(x, t0, t1, 0)
+        periods, agents, mus, covs, _ = engine._block_moments(x, t0, t1, 0)
         monkeypatch.undo()
-        periods, agents, mus, covs, _ = matched
         got = {(t, i): (mu, cov) for t, i, mu, cov in zip(periods, agents, mus, covs)}
-        expected, long_lists, short_lists, lens_seen = {}, 0, 0, set()
+        expected, long_lists, unmatched, lens_seen, long_lens = {}, 0, 0, set(), set()
         for t in range(t0, t1):
             for group in engine._groups[0].values():
                 sels = engine._group_selections(x[:t], group)
                 rows, lens = max(sels, key=len), np.array([sel.size for sel in sels])
                 if not rows.size:
+                    unmatched += len(group)
                     continue
+                lens_seen.add(tuple(lens))
                 if rows.size > levels:
                     long_lists += 1
-                    lens_seen.add(tuple(lens))
-                else:
-                    short_lists += 1
+                    long_lens.add(tuple(lens))
                 cuts = np.unique(lens) if rows.size > levels else np.arange(1, rows.size + 1)
                 ref = _prefix_moments(x[rows][None], np.zeros_like(lens), lens, cuts)
                 for j, (i, _) in enumerate(group):
                     expected[(t, i)] = (ref[0][j], ref[1][j])
-        assert sorted(got) == sorted(expected) and len(got) + len(unmatched) == \
+        assert sorted(got) == sorted(expected) and len(got) + unmatched == \
             (t1 - t0) * engine.n_agents
         for key, (mu, cov) in expected.items():
             assert got[key][0].tobytes() == mu.tobytes(), key
             assert got[key][1].tobytes() == cov.tobytes(), key
-        assert len(lens_seen) > 1 and long_lists > len(lens_seen)
-        # One call per set of prefix lengths, plus one for all short lists.
-        assert len(calls) == len(lens_seen) + (short_lists > 0)
+        assert len(long_lens) > 1 and long_lists > len(long_lens)
+        # One call per set of prefix lengths, short lists included.
+        assert len(calls) == len(lens_seen)
 
     @pytest.mark.parametrize("rule, partition", [
         ("trivial", "trivial"), ("gyorfi_nn", "trivial"),
@@ -379,3 +377,70 @@ class TestEngineSelections:
             expected += fresh.fallback_count
         assert expected > 0
         assert engine.fallback_count == expected
+
+
+class TestSolverRetry:
+    FAIL = (1, 5, 14, 22)  # agents whose one-agent solve fails too
+
+    def _patch(self, monkeypatch):
+        """Make every stacked fund solve fail, then the retry's one-agent
+        solves of the agents in FAIL; others solve as usual."""
+        order, solve, block_moments = [], fundsep.fund_solution, PatternAgents._block_moments
+
+        def recording(engine, *args):
+            matched = block_moments(engine, *args)
+            order[:] = [] if matched is None else matched[1].tolist()
+            return matched
+
+        def failing(mu, cov, *args, **kwargs):
+            if np.ndim(mu) == 2:
+                raise fundsep.SolverError("stacked solve failed")
+            if order.pop(0) in self.FAIL:  # the retry solves the block's agents in order
+                raise fundsep.SolverError("agent solve failed")
+            return solve(mu, cov, *args, **kwargs)
+
+        monkeypatch.setattr(PatternAgents, "_block_moments", recording)
+        monkeypatch.setattr(fundsep, "fund_solution", failing)
+
+    def test_failed_agents_keep_fallback(self, rng, monkeypatch):
+        x = random_history(rng, t=60, m=5)
+        cmap = ClusterMap(members=((0, 1, 2), (3, 4)), names=("L", "R"))
+        specs = agent_grid(3, 4, n_clusters=2)
+        modes = ("absolute", "active")
+        plain = PatternAgents(specs, 5, clusters=cmap)
+        expected = plain.controls_series(x, modes)
+        self._patch(monkeypatch)
+        engine = PatternAgents(specs, 5, clusters=cmap)
+        got = engine.controls_series(x, modes)
+
+        fail = list(self.FAIL)
+        keep = [i for i in range(len(specs)) if i not in self.FAIL]
+        fallback = np.zeros((len(fail), 5))
+        for row, i in zip(fallback, fail):
+            cols = list(cmap.members[specs[i].cluster])
+            row[cols] = 1.0 / len(cols)
+        for t in range(60):
+            np.testing.assert_array_equal(got["absolute"][t, fail], fallback)
+        np.testing.assert_array_equal(got["active"][:, fail], 0.0)
+        for mode in modes:
+            np.testing.assert_array_equal(got[mode][:, keep], expected[mode][:, keep])
+
+        matched = 0
+        for t in range(60):
+            for i in fail:
+                try:
+                    match(x[:t, list(cmap.members[specs[i].cluster])], specs[i], levels=4)
+                    matched += 1
+                except NoMatchError:
+                    pass
+        assert matched > 0
+        assert engine.fallback_count == plain.fallback_count + matched * len(modes)
+
+        count = 0
+        for t in range(60):
+            fresh = PatternAgents(specs, 5, clusters=cmap)
+            multi = fresh.controls_multi(x[:t], modes)
+            count += fresh.fallback_count
+            for mode in modes:
+                np.testing.assert_array_equal(got[mode][t], multi[mode])
+        assert count == engine.fallback_count

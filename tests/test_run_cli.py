@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import pickle
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from zeroport.marketdata import DataError
 from zeroport.run import (
     ConfigError,
     GridConfig,
+    TimingOrderError,
     apply_frictions,
     apply_overrides,
     batch,
@@ -294,12 +296,16 @@ class TestTiming:
         assert all(len(r["runs"]) == 2 for r in rows)
         assert all(r["median_seconds"] > 0 for r in rows)
 
-    def test_enforce_order_raises_on_violation(self):
+    def test_enforce_order_raises_on_violation(self, monkeypatch):
+        # "absolute" is listed first, so it may not be slower than "active".
+        def strategy_once(x, specs, matching, strategy):
+            if strategy == "absolute":
+                time.sleep(0.05)
+
+        monkeypatch.setattr(run_module, "_run_strategy_once", strategy_once)
         x = synth.generate(synth.SynthSpec(case="SDC1", assets=3, periods=60, seed=1))
-        rows = timing_report(x, strategies=("absolute",), repeats=1,
-                             grid=GridConfig(windows=2, levels=2), warmup_periods=20)
-        # single strategy: ordering trivially holds
-        assert len(rows) == 1
+        with pytest.raises(TimingOrderError, match="absolute .* slower than active"):
+            timing_report(x, strategies=("absolute", "active"), repeats=3, enforce_order=True)
 
 
 class TestCli:
@@ -329,6 +335,36 @@ class TestCli:
         assert cli.main(["run", str(config), "--set", "matching.metric=euclidean"]) == 2
         assert "matching.metric" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, path", [
+        ("mdoe=active", "mdoe"),
+        ("data.asets=3", "data.asets"),
+        ("data.horizons=[2000]", "data.horizons"),
+        ("data.path=x.csv", "data.path"),
+        ("grid.window=3", "grid.window"),
+        ("rule.eta2=1", "rule.eta2"),
+        ("frictions.cost=5", "frictions.cost"),
+        ("baselines.univ=1", "baselines.univ"),
+        ("baselines.universal_portfolio.res=10", "baselines.universal_portfolio.res"),
+    ])
+    def test_unknown_key_exit_two(self, tmp_path, override, path, capsys):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(yaml.safe_dump(make_doc()))
+        assert cli.main(["run", str(config), "--set", override]) == 2
+        assert f"config error: {path}: unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, override, path", [
+        ("relatives_csv", "data.convention=open_to_close", "data.convention"),
+        ("relatives_csv", "data.case=SDC1", "data.case"),
+        ("ohlc_csv", "data.seed=3", "data.seed"),
+    ])
+    def test_unknown_data_key_per_kind_exit_two(self, tmp_path, kind, override, path, capsys):
+        config = tmp_path / "cfg.yaml"
+        doc = make_doc()
+        doc["data"] = {"kind": kind, "path": "x.csv"}
+        config.write_text(yaml.safe_dump(doc))
+        assert cli.main(["run", str(config), "--set", override]) == 2
+        assert f"config error: {path}: unknown key" in capsys.readouterr().err
+
     def test_misspelt_matching_key_exit_two(self, tmp_path, capsys):
         config = tmp_path / "cfg.yaml"
         config.write_text(yaml.safe_dump(make_doc(matching={"rul": "gyorfi_nn"})))
@@ -353,6 +389,13 @@ class TestCli:
         assert (tmp_path / "out" / "stats_absolute.csv").exists()
         workers = json.loads(capsys.readouterr().out)["workers"]
         assert json.loads((tmp_path / "out" / "summary.json").read_text())["workers"] == workers
+
+    def test_batch_unknown_case_exit_two(self, tmp_path, capsys):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(yaml.safe_dump(make_doc()))
+        code = cli.main(["batch", str(config), "--seeds", "1", "--cases", "SDC1,SDC9"])
+        assert code == 2
+        assert "config error: cases: unknown synthetic cases ['SDC9']" in capsys.readouterr().err
 
     def test_batch_worker_bankruptcy_exit_four(self, tmp_path, monkeypatch, capsys):
         """A BankruptcyError raised inside a forked worker exits 4, and the
