@@ -23,7 +23,7 @@ x = np.exp(np.column_stack([drive, -drive]) + rng.normal(0, 0.002, size=(t, 2)))
 
 print("== partitions over a 12-period history ==")
 for kind, ell in (("trivial", 1), ("overlapping", 3), ("exclusive", 3)):
-    masks = patterns.make_partitions(12, kind, ell).masks.astype(int)
+    masks = patterns.make_partitions(12, kind, ell).astype(int)
     print(f"{kind:>12}:", *("".join(map(str, row)) for row in masks))
 
 print("\n== tuple distances ==")

@@ -48,7 +48,6 @@ from .patterns import (
     MatchConfig,
     MatchResult,
     NoMatchError,
-    Partition,
     PatternAgents,
     agent_grid,
     gyorfi_match_count,

@@ -25,6 +25,9 @@ import numpy as np
 
 DEFAULT_RIDGE = 1e-8
 
+# Maps of an absolute-mode fund onto the simplex: project_to_simplex, clip_renormalize.
+PROJECTIONS = ("euclidean", "clip")
+
 # Leverage below this is treated as "no view": the agent holds cash.
 ZERO_LEVERAGE_TOL = 1e-12
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import closing
 from dataclasses import dataclass, replace
 from datetime import datetime
 
@@ -52,6 +53,15 @@ class DataError(ValueError):
 
     def __reduce__(self):
         return type(self), (self.message, self.row)
+
+
+def _lines(path):
+    """Lines of a text file, read lazily; an unreadable file is a DataError."""
+    try:
+        with open(path, newline="") as fh:
+            yield from fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
 
 
 def _parse_timestamp(raw: str, row: int) -> datetime:
@@ -126,8 +136,8 @@ def load_csv(path, schema: dict | None = None, delimiter: str = ",") -> list:
     """
     cols = dict(DEFAULT_SCHEMA, **(schema or {}))
     per_ticker: dict = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh, delimiter=delimiter)
+    with closing(_lines(path)) as lines:
+        reader = csv.DictReader(lines, delimiter=delimiter)
         if reader.fieldnames is None:
             raise DataError("empty file")
         for key in cols.values():
@@ -256,8 +266,8 @@ def load_relatives_csv(path, delimiter: str = ",") -> PriceRelativeMatrix:
     This is the passthrough mode for files that already ship relatives
     (e.g. the public NYSE test sets); no ratios are computed.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+    with closing(_lines(path)) as lines:
+        reader = csv.reader(lines, delimiter=delimiter)
         try:
             header = next(reader)
         except StopIteration:

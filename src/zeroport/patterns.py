@@ -120,21 +120,6 @@ class ClusterMap:
                 raise ValueError(f"cluster {name!r} exceeds asset count {n_assets}")
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Boolean time-membership masks over a history of length t."""
-
-    masks: np.ndarray  # (n_partitions, t)
-
-    def __post_init__(self):
-        if self.masks.ndim != 2:
-            raise ValueError("partition masks must be 2-d")
-
-    @property
-    def n_partitions(self):
-        return self.masks.shape[0]
-
-
 def _block_bounds(t: int, kind: str, ell: int):
     """[lo, hi) bounds of a partition kind's time blocks, in the order of
     :func:`make_partitions`; exclusive blocks split as ``np.array_split``."""
@@ -150,8 +135,8 @@ def _block_bounds(t: int, kind: str, ell: int):
     raise ValueError(f"unknown partition kind {kind!r}")
 
 
-def make_partitions(t: int, kind: str, ell: int) -> Partition:
-    """Build the time partition used by one agent family.
+def make_partitions(t: int, kind: str, ell: int) -> np.ndarray:
+    """The (blocks, t) bool time-membership masks of one agent family.
 
     trivial: a single all-true mask.  overlapping: ell masks where the i-th
     covers the most recent ceil(i*t/ell) periods, so every mask contains
@@ -162,7 +147,7 @@ def make_partitions(t: int, kind: str, ell: int) -> Partition:
         raise ValueError("t and ell must be at least 1")
     bounds = np.array(_block_bounds(t, kind, ell))
     rows = np.arange(t)
-    return Partition((rows >= bounds[:, :1]) & (rows < bounds[:, 1:]))
+    return (rows >= bounds[:, :1]) & (rows < bounds[:, 1:])
 
 
 def gyorfi_match_count(ell: int, levels: int, t: int) -> int:
@@ -383,6 +368,8 @@ class MatchConfig:
             raise ValueError(f"unknown partition kind {self.partition!r}")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
+        if self.projection not in fundsep.PROJECTIONS:
+            raise ValueError(f"unknown projection {self.projection!r}")
         if self.absolute_tilt not in ("unit_leverage", "gamma"):
             raise ValueError(f"unknown absolute_tilt {self.absolute_tilt!r}")
 

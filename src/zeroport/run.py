@@ -10,16 +10,18 @@ cases, then writes the KS battery and cross-case tables as ``stats*.csv``.
 
 from __future__ import annotations
 
+import copy
 import csv
 import gc
 import json
+import math
 import multiprocessing
 import os
 import statistics
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,17 +32,6 @@ from .learner import BankruptcyError, MixtureRule, WealthTrack, run_backtest
 from .patterns import ClusterMap, MatchConfig, PatternAgents, agent_grid
 
 SPEC_VERSION = 1
-
-ROOT_KEYS = ("spec_version", "data", "mode", "rule", "grid", "matching", "clusters",
-             "frictions", "baselines", "output", "record_agents")
-DATA_KEYS = {
-    "synth": ("kind", "case", "assets", "periods", "seed", "variance"),
-    "relatives_csv": ("kind", "path", "delimiter", "tickers"),
-    "ohlc_csv": ("kind", "path", "delimiter", "tickers", "schema", "convention", "clean",
-                 "clean_lo", "clean_hi"),
-}
-FRICTION_KEYS = ("cost_bps", "flat_turnover")
-BASELINE_KEYS = ("best_stock", "universal_portfolio")
 
 DEFAULT_PAIRS = (("IROQU", "KINAR"), ("COMME", "MEICO"), ("COMME", "KINAR"), ("IBM", "COKE"))
 
@@ -66,39 +57,6 @@ def _expect(cond, path, message):
         raise ConfigError(path, message)
 
 
-def _number(value, path) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(path, f"must be a number, got {value!r}") from None
-
-
-def _check_keys(section: dict, keys, prefix=""):
-    for key in section:
-        _expect(key in keys, f"{prefix}{key}", f"unknown key; expected one of {', '.join(keys)}")
-
-
-def _section(doc: dict, name: str, keys) -> dict:
-    """``doc[name]`` (empty when absent), a mapping of known keys only."""
-    section = doc.get(name, {})
-    _expect(isinstance(section, dict), name, "must be a mapping")
-    _check_keys(section, keys, f"{name}.")
-    return section
-
-
-def _from_section(doc: dict, name: str, cls):
-    """Dataclass ``cls`` from ``doc[name]``: keys are its fields, values of
-    float fields are parsed as numbers, absent fields take their defaults."""
-    defaults = {f.name: f.default for f in fields(cls)}
-    section = _section(doc, name, tuple(defaults))
-    kwargs = {key: _number(value, f"{name}.{key}") if isinstance(defaults[key], float) else value
-              for key, value in section.items()}
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(name, str(exc)) from exc
-
-
 @dataclass(frozen=True)
 class GridConfig:
     windows: int = 5
@@ -106,113 +64,174 @@ class GridConfig:
     horizons: tuple = (1,)
 
 
+class _Switch(dict):
+    """A section that is off (reads None) unless given as ``true`` or a mapping."""
+
+
+# Sections built into a dataclass: its fields are the keys, its defaults the defaults.
+SECTION_TYPES = {"rule": MixtureRule, "grid": GridConfig, "matching": MatchConfig}
+
+# Every config key but spec_version, with its default or, where it has none,
+# its type (an absent or null key then reads None).  A mapping is a section
+# of further keys; a tuple is a nonempty list of values like its first item.
+KEYS = {
+    "data": dict,  # checked against DATA_KEYS[data.kind]
+    "mode": "absolute",
+    **{name: {f.name: f.default for f in fields(cls)} for name, cls in SECTION_TYPES.items()},
+    "clusters": dict,
+    "frictions": {"cost_bps": 0.0, "flat_turnover": float},
+    "baselines": {"best_stock": True,
+                  "universal_portfolio": _Switch(resolution=baselines.DEFAULT_RESOLUTION)},
+    "output": str,
+    "record_agents": True,
+}
+_CSV_KEYS = {"kind": str, "path": str, "delimiter": ",", "tickers": list}
+DATA_KEYS = {
+    "synth": {"kind": str, "case": str, "assets": 10, "periods": 1000, "seed": 1,
+              "variance": synth.DEFAULT_VARIANCE},
+    "relatives_csv": _CSV_KEYS,
+    "ohlc_csv": {**_CSV_KEYS, "schema": dict(marketdata.DEFAULT_SCHEMA),
+                 "convention": "close_to_close", "clean": True,
+                 "clean_lo": marketdata.SPLIT_LO, "clean_hi": marketdata.SPLIT_HI},
+}
+
+# What a value of each type must satisfy, unless LIMITS names its key.
+_RULES = {
+    bool: (lambda v: True, "must be true or false"),
+    int: (lambda v: v >= 1, "must be an integer >= 1"),
+    float: (lambda v: 0.0 <= v < math.inf, "must be a finite number >= 0"),
+    str: (lambda v: True, "must be a string"),
+    list: (lambda v: True, "must be a list"),
+    dict: (lambda v: True, "must be a mapping"),
+}
+LIMITS = {
+    "mode": (lambda v: v in ("absolute", "active"), "must be absolute | active"),
+    "data.case": (lambda v: v in synth.CASES, f"must be one of {synth.CASES}"),
+    "data.periods": (lambda v: v >= 2, "must be an integer >= 2"),
+    "data.delimiter": (lambda v: len(v) == 1, "must be one character"),
+    "data.convention": (lambda v: v in marketdata.CONVENTIONS,
+                        f"must be one of {marketdata.CONVENTIONS}"),
+    "data.clean_lo": (lambda v: 0.0 <= v < 1.0, "must be a number in [0, 1)"),
+    "data.clean_hi": (lambda v: 1.0 < v < math.inf, "must be a finite number > 1"),
+}
+
+
+def _value(raw, spec, path):
+    """A present value checked against its table entry: typed, within LIMITS."""
+    if isinstance(spec, tuple):
+        _expect(isinstance(raw, (list, tuple)) and raw, path, "must be a nonempty list")
+        return tuple(_value(item, spec[0], path) for item in raw)
+    kind = spec if isinstance(spec, type) else type(spec)
+    test, message = LIMITS.get(path) or _RULES[kind]
+    value = raw
+    if kind is float and not isinstance(raw, bool):  # ints and numeric strings too
+        try:
+            value = float(raw)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    # A bool is an int to isinstance, but no number here.
+    is_kind = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+    _expect(is_kind and test(value), path, f"{message}, got {raw!r}")
+    return value
+
+
+def _section(doc, table, path=""):
+    """Mapping ``doc`` checked against ``table``, with every default filled in."""
+    if isinstance(table, _Switch) and (doc is None or isinstance(doc, bool)):
+        if not doc:
+            return None
+        doc = {}
+    doc = {} if doc is None else doc
+    _expect(isinstance(doc, dict), path, "must be a mapping")
+    prefix = f"{path}." if path else ""
+    for key in doc:
+        _expect(key in table, f"{prefix}{key}",
+                f"unknown key; expected one of {', '.join(table)}")
+    out = {}
+    for key, spec in table.items():
+        value = doc.get(key)
+        if isinstance(spec, dict):
+            out[key] = _section(value, spec, prefix + key)
+        elif value is None:
+            out[key] = None if isinstance(spec, type) else spec
+        else:
+            out[key] = _value(value, spec, prefix + key)
+    return out
+
+
 @dataclass(frozen=True)
 class RunConfig:
+    """A checked run config with every default filled in; see :func:`config_from_dict`."""
+
     data: dict
-    mode: str = "absolute"
-    rule: MixtureRule = field(default_factory=MixtureRule.universal)
-    grid: GridConfig = field(default_factory=GridConfig)
-    matching: MatchConfig = field(default_factory=MatchConfig)
-    clusters: dict | None = None
-    baselines: dict = field(default_factory=dict)
-    cost_bps: float = 0.0
-    flat_turnover: float | None = None
-    output: str | None = None
-    record_agents: bool = True
+    mode: str
+    rule: MixtureRule
+    grid: GridConfig
+    matching: MatchConfig
+    clusters: dict | None
+    baselines: dict
+    cost_bps: float
+    flat_turnover: float | None
+    output: str | None
+    record_agents: bool
 
 
 def config_from_dict(doc: dict) -> RunConfig:
-    """Validate a raw config document into a RunConfig."""
-    if not isinstance(doc, dict):
-        raise ConfigError("<root>", "config must be a mapping")
-    version = doc.get("spec_version")
-    _expect(version == SPEC_VERSION, "spec_version", f"must be {SPEC_VERSION}, got {version!r}")
-    _check_keys(doc, ROOT_KEYS)
+    """Validate a raw config document against :data:`KEYS` into a RunConfig.
 
-    data = doc.get("data")
-    _expect(isinstance(data, dict), "data", "must be a mapping")
-    data = dict(data)
+    Checks that need more than one key stay here: the spec version, the
+    ``data.kind`` dispatch, required data keys and ticker lists.
+    """
+    _expect(isinstance(doc, dict), "<root>", "config must be a mapping")
+    doc = dict(doc)
+    version = doc.pop("spec_version", None)
+    _expect(type(version) is int and version == SPEC_VERSION, "spec_version",
+            f"must be {SPEC_VERSION}, got {version!r}")
+    values = _section(doc, KEYS)
+
+    data = values["data"]
+    _expect(data is not None, "data", "must be a mapping")
     kind = data.get("kind")
     _expect(isinstance(kind, str) and kind in DATA_KEYS, "data.kind",
             f"must be {' | '.join(DATA_KEYS)}, got {kind!r}")
-    _check_keys(data, DATA_KEYS[kind], "data.")
-    if kind == "synth":
-        case = data.get("case")
-        _expect(case in synth.CASES, "data.case", f"must be one of {synth.CASES}")
-        for key, least in (("assets", 1), ("periods", 2), ("seed", 1)):
-            if key in data:
-                _expect(isinstance(data[key], int) and data[key] >= least, f"data.{key}",
-                        f"must be an integer >= {least}")
-        if "variance" in data:
-            data["variance"] = _number(data["variance"], "data.variance")
-            _expect(data["variance"] >= 0.0, "data.variance", "must be >= 0")
-    else:
-        _expect(isinstance(data.get("path"), str), "data.path", "must name a file")
-        if kind == "ohlc_csv":
-            conv = data.get("convention", "close_to_close")
-            _expect(conv in marketdata.CONVENTIONS, "data.convention",
-                    f"must be one of {marketdata.CONVENTIONS}")
+    values["data"] = data = _section(data, DATA_KEYS[kind], "data")
+    required = "case" if kind == "synth" else "path"
+    _expect(data[required] is not None, f"data.{required}", "is required")
+    _expect(all(isinstance(tck, str) for tck in data.get("tickers") or ()), "data.tickers",
+            "must be a list of tickers")
 
-    mode = doc.get("mode", "absolute")
-    _expect(mode in ("absolute", "active"), "mode", "must be absolute | active")
-    rule = _from_section(doc, "rule", MixtureRule)
-
-    grid_doc = _section(doc, "grid", tuple(f.name for f in fields(GridConfig)))
-    windows = grid_doc.get("windows", GridConfig.windows)
-    levels = grid_doc.get("levels", GridConfig.levels)
-    horizons = grid_doc.get("horizons", GridConfig.horizons)
-    _expect(isinstance(windows, int) and windows >= 1, "grid.windows",
-            "must be an integer >= 1")
-    _expect(isinstance(levels, int) and levels >= 1, "grid.levels",
-            "must be an integer >= 1")
-    _expect(isinstance(horizons, (list, tuple)) and horizons
-            and all(isinstance(h, int) and h >= 1 for h in horizons), "grid.horizons",
-            "must be a nonempty list of integers >= 1")
-    matching = _from_section(doc, "matching", MatchConfig)
-
-    clusters = doc.get("clusters")
+    clusters = values["clusters"]
     if clusters is not None:
-        _expect(isinstance(clusters, dict) and clusters, "clusters",
-                "must be a nonempty mapping of name -> ticker list")
+        _expect(clusters, "clusters", "must be a nonempty mapping of name -> ticker list")
         for name, group in clusters.items():
-            _expect(isinstance(group, list) and group, f"clusters.{name}",
-                    "must be a nonempty list of tickers")
+            _expect(isinstance(group, list) and group and all(isinstance(t, str) for t in group),
+                    f"clusters.{name}", "must be a nonempty list of tickers")
 
-    frictions = _section(doc, "frictions", FRICTION_KEYS)
-    cost_bps = _number(frictions.get("cost_bps", 0.0), "frictions.cost_bps")
-    _expect(cost_bps >= 0.0, "frictions.cost_bps", "must be >= 0")
-    flat = frictions.get("flat_turnover")
-    if flat is not None:
-        flat = _number(flat, "frictions.flat_turnover")
-        _expect(flat >= 0.0, "frictions.flat_turnover", "must be >= 0")
+    for name, cls in SECTION_TYPES.items():
+        try:
+            values[name] = cls(**values[name])
+        except ValueError as exc:
+            raise ConfigError(name, str(exc)) from exc
+    frictions = values.pop("frictions")  # its keys are RunConfig fields
+    return RunConfig(**values, **frictions)
 
-    base = _section(doc, "baselines", BASELINE_KEYS)
-    if isinstance(base.get("universal_portfolio"), dict):
-        _check_keys(base["universal_portfolio"], ("resolution",), "baselines.universal_portfolio.")
 
-    return RunConfig(
-        data=data,
-        mode=mode,
-        rule=rule,
-        grid=GridConfig(windows=windows, levels=levels, horizons=tuple(horizons)),
-        matching=matching,
-        clusters=clusters,
-        baselines=dict(base),
-        cost_bps=cost_bps,
-        flat_turnover=flat,
-        output=doc.get("output"),
-        record_agents=bool(doc.get("record_agents", True)),
-    )
+def _yaml(text, path):
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(path, "unparsable YAML: " + " ".join(str(exc).split())) from None
 
 
 def apply_overrides(doc: dict, overrides) -> dict:
     """Apply ``dotted.key=value`` overrides onto a raw config document."""
-    out = json.loads(json.dumps(doc))  # deep copy, plain types only
+    _expect(isinstance(doc, dict), "<root>", "config must be a mapping")
+    out = copy.deepcopy(doc)
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError("<override>", f"expected key=value, got {item!r}")
         key, raw = item.split("=", 1)
-        value = yaml.safe_load(raw)
+        value = _yaml(raw, key)
         node = out
         parts = key.split(".")
         for part in parts[:-1]:
@@ -225,7 +244,7 @@ def apply_overrides(doc: dict, overrides) -> dict:
 
 def load_config(path, overrides=None) -> RunConfig:
     with open(path) as fh:
-        doc = yaml.safe_load(fh)
+        doc = _yaml(fh, "<root>")
     if overrides:
         doc = apply_overrides(doc, overrides)
     return config_from_dict(doc)
@@ -234,33 +253,21 @@ def load_config(path, overrides=None) -> RunConfig:
 def build_dataset(cfg: RunConfig) -> marketdata.PriceRelativeMatrix:
     data = cfg.data
     if data["kind"] == "synth":
-        down = synth.SynthSpec.down_assets
-        _expect(data["case"] != "SDC4" or data.get("assets", 10) > max(down), "data.assets",
+        down = synth.DOWN_ASSETS
+        _expect(data["case"] != "SDC4" or data["assets"] > max(down), "data.assets",
                 f"SDC4 drifts assets {down} down, so it needs at least {max(down) + 1} assets")
-        spec = synth.SynthSpec(
-            case=data["case"],
-            assets=data.get("assets", 10),
-            periods=data.get("periods", 1000),
-            seed=data.get("seed", 1),
-            variance=data.get("variance", synth.DEFAULT_VARIANCE),
-        )
-        return synth.generate(spec)
+        return synth.generate(synth.SynthSpec(**{key: value for key, value in data.items()
+                                                 if key != "kind"}))
     if data["kind"] == "relatives_csv":
-        matrix = marketdata.load_relatives_csv(data["path"],
-                                               delimiter=data.get("delimiter", ","))
+        matrix = marketdata.load_relatives_csv(data["path"], delimiter=data["delimiter"])
     else:
-        series = marketdata.load_csv(data["path"], schema=data.get("schema"),
-                                     delimiter=data.get("delimiter", ","))
-        matrix = marketdata.to_relatives(series, data.get("convention", "close_to_close"))
-        if data.get("clean", True):
-            matrix = marketdata.clean_relatives(
-                matrix,
-                lo=data.get("clean_lo", marketdata.SPLIT_LO),
-                hi=data.get("clean_hi", marketdata.SPLIT_HI),
-            )
-    tickers = data.get("tickers")
-    if tickers:
-        matrix = marketdata.select_tickers(matrix, tickers)
+        series = marketdata.load_csv(data["path"], schema=data["schema"],
+                                     delimiter=data["delimiter"])
+        matrix = marketdata.to_relatives(series, data["convention"])
+        if data["clean"]:
+            matrix = marketdata.clean_relatives(matrix, lo=data["clean_lo"], hi=data["clean_hi"])
+    if data["tickers"]:
+        matrix = marketdata.select_tickers(matrix, data["tickers"])
     return matrix
 
 
@@ -312,24 +319,20 @@ def run(cfg: RunConfig, outdir=None) -> dict:
     controls = pattern_controls(matrix, engine, (cfg.mode,))[cfg.mode]
     track = run_backtest(matrix, controls, cfg.mode, cfg.rule,
                          record_agents=cfg.record_agents, label=cfg.mode)
-    runtime_main = time.perf_counter() - t0
+    runtimes = {cfg.mode: time.perf_counter() - t0}
 
     extra_tracks = {}
-    runtimes = {cfg.mode: runtime_main}
-    base = cfg.baselines
-    if base.get("best_stock", True):
-        t1 = time.perf_counter()
-        idx, bs_track = baselines.best_stock(matrix)
-        runtimes["best_stock"] = time.perf_counter() - t1
-        extra_tracks["best_stock"] = bs_track
-    if base.get("universal_portfolio", False) or isinstance(base.get("universal_portfolio"), dict):
-        up_cfg = base.get("universal_portfolio")
-        resolution = up_cfg.get("resolution", baselines.DEFAULT_RESOLUTION) \
-            if isinstance(up_cfg, dict) else baselines.DEFAULT_RESOLUTION
-        t1 = time.perf_counter()
-        extra_tracks["universal_portfolio"] = baselines.universal_portfolio(
-            matrix, resolution=resolution)
-        runtimes["universal_portfolio"] = time.perf_counter() - t1
+    chosen = {"best_stock": lambda: baselines.best_stock(matrix)[1],
+              "universal_portfolio": lambda: baselines.universal_portfolio(
+                  matrix, **cfg.baselines["universal_portfolio"])}
+    for name, make in chosen.items():
+        if cfg.baselines[name]:
+            t1 = time.perf_counter()
+            try:
+                extra_tracks[name] = make()
+            except baselines.GridTooLargeError as exc:  # resolution too fine for the assets
+                raise ConfigError(f"baselines.{name}.resolution", str(exc)) from exc
+            runtimes[name] = time.perf_counter() - t1
 
     net_track = None
     if cfg.cost_bps > 0:
@@ -348,11 +351,8 @@ def run(cfg: RunConfig, outdir=None) -> dict:
         "runtime_seconds": runtimes,
     }
     if net_track is not None:
-        summary["frictions"] = {
-            "cost_bps": cfg.cost_bps,
-            "flat_turnover": cfg.flat_turnover,
-            "terminal_wealth": net_track.terminal,
-        }
+        summary["frictions"] = {"cost_bps": cfg.cost_bps, "flat_turnover": cfg.flat_turnover,
+                                "terminal_wealth": net_track.terminal}
 
     if outdir is not None:
         outdir = Path(outdir)
@@ -368,18 +368,14 @@ def run(cfg: RunConfig, outdir=None) -> dict:
 
 
 def _write_wealth_csv(path, track, extra_tracks, net_track):
+    columns = {"portfolio": track, **extra_tracks}
+    if net_track is not None:
+        columns["portfolio_net"] = net_track
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["t", "portfolio"] + list(extra_tracks)
-        if net_track is not None:
-            header.append("portfolio_net")
-        writer.writerow(header)
+        writer.writerow(["t", *columns])
         for t in range(track.n_periods):
-            row = [t + 1, repr(float(track.wealth[t]))]
-            row += [repr(float(tr.wealth[t])) for tr in extra_tracks.values()]
-            if net_track is not None:
-                row.append(repr(float(net_track.wealth[t])))
-            writer.writerow(row)
+            writer.writerow([t + 1, *(repr(float(tr.wealth[t])) for tr in columns.values())])
 
 
 # -- batch mode -------------------------------------------------------------
@@ -527,32 +523,26 @@ def nyse_table(data_path, pairs=DEFAULT_PAIRS, resolution=baselines.DEFAULT_RESO
             raise marketdata.DataError(f"no CSV files under {data_path}")
         data_path = candidates[0]
     matrix = marketdata.load_relatives_csv(data_path)
+    specs = agent_grid(grid.windows, grid.levels, 1, grid.horizons)
     rows = []
     for pair in pairs:
         sub = marketdata.select_tickers(matrix, list(pair))
         row = {"stocks": "/".join(pair), "strategies": {}}
-
-        def _time(fn):
-            t0 = time.perf_counter()
-            out = fn()
-            return out, time.perf_counter() - t0
-
-        specs = agent_grid(grid.windows, grid.levels, 1, grid.horizons)
         for label, mode, rule in (("absolute", "absolute", "trivial"),
                                   ("active", "active", "trivial"),
                                   ("nn_recovery", "absolute", "gyorfi_nn")):
-            def _strategy(mode=mode, rule=rule, label=label):
-                engine = PatternAgents(specs, len(pair), config=MatchConfig(rule=rule))
-                controls = pattern_controls(sub, engine, (mode,))[mode]
-                return run_backtest(sub, controls, mode, label=label)
-
-            track, secs = _time(_strategy)
+            t0 = time.perf_counter()
+            engine = PatternAgents(specs, len(pair), config=MatchConfig(rule=rule))
+            controls = pattern_controls(sub, engine, (mode,))[mode]
+            track = run_backtest(sub, controls, mode, label=label)
+            secs = time.perf_counter() - t0
             _, best = baselines.best_agent(track)
             row["strategies"][label] = {"wealth": track.terminal, "best_agent": best,
                                         "seconds": secs}
-        up_track, secs = _time(lambda: baselines.universal_portfolio(sub, resolution=resolution))
+        t0 = time.perf_counter()
+        up_track = baselines.universal_portfolio(sub, resolution=resolution)
         row["strategies"]["universal_portfolio"] = {"wealth": up_track.terminal,
-                                                    "seconds": secs}
+                                                    "seconds": time.perf_counter() - t0}
         idx, bs_track = baselines.best_stock(sub)
         row["strategies"]["best_stock"] = {"wealth": bs_track.terminal,
                                            "ticker": pair[idx]}

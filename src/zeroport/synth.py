@@ -27,6 +27,9 @@ CASES = ("SDC1", "SDC2", "SDC3", "SDC4")
 
 DEFAULT_VARIANCE = 0.0002
 
+# The assets that drift down in SDC4; the others drift up.
+DOWN_ASSETS = (0, 1, 2)
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -35,7 +38,6 @@ class SynthSpec:
     periods: int = 1000
     seed: int = 1
     variance: float = DEFAULT_VARIANCE
-    down_assets: tuple = (0, 1, 2)
 
     def __post_init__(self):
         if self.case not in CASES:
@@ -44,11 +46,8 @@ class SynthSpec:
             raise ValueError("assets and periods must be positive")
         if self.variance < 0:
             raise ValueError("variance must be nonnegative")
-        if self.case == "SDC4":
-            if len(self.down_assets) > self.assets:
-                raise ValueError("more down-drift assets than assets")
-            if any(a < 0 or a >= self.assets for a in self.down_assets):
-                raise ValueError("down-drift asset index out of range")
+        if self.case == "SDC4" and self.assets <= max(DOWN_ASSETS):
+            raise ValueError(f"SDC4 needs at least {max(DOWN_ASSETS) + 1} assets")
 
 
 def lognormal_params(mu: float, v: float):
@@ -72,7 +71,7 @@ def _case_means(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
         delta = rng.standard_normal(spec.assets)
         return 1.0 + np.maximum(0.0, np.minimum(0.0005 + 0.0005 * delta, 0.001))
     means = np.full(spec.assets, 1.001)
-    means[list(spec.down_assets)] = 0.999
+    means[list(DOWN_ASSETS)] = 0.999
     return means
 
 

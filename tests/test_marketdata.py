@@ -273,6 +273,23 @@ class TestRelativesCsv:
             select_tickers(m, ["T9"])
 
 
+@pytest.mark.parametrize("load", [load_csv, load_relatives_csv])
+class TestUnreadableFile:
+    def test_directory_is_data_error(self, tmp_path, load):
+        with pytest.raises(DataError, match="cannot read"):
+            load(tmp_path)
+
+    def test_missing_file_is_data_error(self, tmp_path, load):
+        with pytest.raises(DataError, match="cannot read"):
+            load(tmp_path / "nope.csv")
+
+    def test_undecodable_bytes_are_data_error(self, tmp_path, load):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"A,B\n\xff\xfe,1.0\n")
+        with pytest.raises(DataError, match="cannot read"):
+            load(path)
+
+
 class TestMatrixInvariants:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):

@@ -28,28 +28,29 @@ def random_history(rng, t=None, m=None):
 class TestPartitions:
     def test_trivial_single_mask(self):
         p = make_partitions(5, "trivial", 3)
-        np.testing.assert_array_equal(p.masks, [[True] * 5])
+        assert p.dtype == bool and p.shape == (1, 5)
+        np.testing.assert_array_equal(p, [[True] * 5])
 
     def test_overlapping_literature_example(self):
         p = make_partitions(3, "overlapping", 3)
         expected = np.array([[0, 0, 1], [0, 1, 1], [1, 1, 1]], dtype=bool)
-        np.testing.assert_array_equal(p.masks, expected)
+        np.testing.assert_array_equal(p, expected)
 
     def test_overlapping_all_contain_last_period(self):
         p = make_partitions(11, "overlapping", 4)
-        assert p.masks[:, -1].all()
-        spans = p.masks.sum(axis=1)
+        assert p[:, -1].all()
+        spans = p.sum(axis=1)
         assert np.all(np.diff(spans) > 0)
         assert spans[-1] == 11
 
     def test_exclusive_even_split(self):
         p = make_partitions(4, "exclusive", 2)
         expected = np.array([[1, 1, 0, 0], [0, 0, 1, 1]], dtype=bool)
-        np.testing.assert_array_equal(p.masks, expected)
+        np.testing.assert_array_equal(p, expected)
 
     def test_exclusive_covers_everything_disjointly(self):
         p = make_partitions(10, "exclusive", 3)
-        assert p.masks.sum(axis=0).tolist() == [1] * 10
+        assert p.sum(axis=0).tolist() == [1] * 10
 
     def test_exclusive_too_many_blocks(self):
         with pytest.raises(ValueError):
@@ -137,7 +138,7 @@ class TestMatch:
         x = random_history(rng, t=30, m=2)
         for kind in ("overlapping", "exclusive"):
             res = match(x, AgentSpec(k=2, ell=3), partition=kind)
-            expected = brute_partition_matches(x, 2, make_partitions(30, kind, 3).masks)
+            expected = brute_partition_matches(x, 2, make_partitions(30, kind, 3))
             np.testing.assert_array_equal(res.times, expected)
 
     def test_match_count_clamps_to_candidates(self, rng):
@@ -164,6 +165,17 @@ class TestGrid:
         assert cmap.members == ((1, 2), (0,))
         with pytest.raises(ValueError):
             ClusterMap.from_tickers({"FIN": ["Z"]}, ["A"])
+
+
+class TestMatchConfig:
+    @pytest.mark.parametrize("field", ["rule", "partition", "projection", "absolute_tilt"])
+    def test_unknown_choice_rejected(self, field):
+        with pytest.raises(ValueError, match="unknown .*'foo'"):
+            MatchConfig(**{field: "foo"})
+
+    def test_projections_accepted(self):
+        for projection in ("euclidean", "clip"):
+            assert MatchConfig(projection=projection).projection == projection
 
 
 class TestSampleMoments:
@@ -291,7 +303,7 @@ class TestEngineSelections:
                         if kind == "exclusive" and spec.ell > t:
                             expected = []
                         else:
-                            masks = make_partitions(t, kind, spec.ell).masks
+                            masks = make_partitions(t, kind, spec.ell)
                             expected = [j + tau for j in
                                         brute_partition_matches(x[:t], k, masks, tau)]
                         assert rows.tolist() == expected, (t, spec)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 import yaml
 
-from zeroport import cli, synth
+from zeroport import cli, marketdata, synth
+from zeroport.baselines import DEFAULT_RESOLUTION
 from zeroport import run as run_module
 from zeroport.fundsep import SolverError
 from zeroport.learner import BankruptcyError, WealthTrack
@@ -98,6 +99,37 @@ class TestConfig:
     def test_override_requires_equals(self):
         with pytest.raises(ConfigError):
             apply_overrides(make_doc(), ["mode active"])
+
+    def test_defaults_filled_in(self):
+        cfg = config_from_dict(make_doc(data={"kind": "synth", "case": "SDC2"}))
+        assert cfg.data == {"kind": "synth", "case": "SDC2", "assets": 3, "periods": 60,
+                            "seed": 2, "variance": synth.DEFAULT_VARIANCE}
+        assert cfg.baselines == {"best_stock": True, "universal_portfolio": None}
+        assert (cfg.cost_bps, cfg.flat_turnover, cfg.output, cfg.record_agents) == \
+            (0.0, None, None, True)
+        assert cfg.grid == GridConfig(windows=2, levels=3)
+        ohlc = config_from_dict({"spec_version": 1, "data": {"kind": "ohlc_csv", "path": "x.csv"}})
+        assert ohlc.data == {"kind": "ohlc_csv", "path": "x.csv", "delimiter": ",",
+                             "tickers": None, "schema": marketdata.DEFAULT_SCHEMA,
+                             "convention": "close_to_close", "clean": True,
+                             "clean_lo": marketdata.SPLIT_LO, "clean_hi": marketdata.SPLIT_HI}
+
+    @pytest.mark.parametrize("given, expected", [
+        (None, None),
+        (False, None),
+        (True, {"resolution": DEFAULT_RESOLUTION}),
+        ({}, {"resolution": DEFAULT_RESOLUTION}),
+        ({"resolution": 40}, {"resolution": 40}),
+    ])
+    def test_universal_portfolio_switch(self, given, expected):
+        cfg = config_from_dict(make_doc(baselines={"universal_portfolio": given}))
+        assert cfg.baselines["universal_portfolio"] == expected
+
+    def test_numbers_parsed_from_strings_and_ints(self):
+        cfg = config_from_dict(make_doc(matching={"ridge": "1e-6", "gamma": 2},
+                                        frictions={"cost_bps": 5}))
+        assert (cfg.matching.ridge, cfg.matching.gamma, cfg.cost_bps) == (1e-6, 2.0, 5.0)
+        assert isinstance(cfg.cost_bps, float)
 
 
 @pytest.mark.parametrize("exc", [
@@ -440,6 +472,70 @@ class TestCli:
     def test_bad_data_or_cluster_exit_two(self, tmp_path, overrides, path, capsys):
         config = tmp_path / "cfg.yaml"
         config.write_text(yaml.safe_dump(make_doc()))
+        argv = ["run", str(config)] + [arg for item in overrides for arg in ("--set", item)]
+        assert cli.main(argv) == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, override, path", [
+        ("relatives_csv", "baselines.universal_portfolio.resolution=abc",
+         "baselines.universal_portfolio.resolution"),
+        ("relatives_csv", "data.delimiter=5", "data.delimiter"),
+        ("ohlc_csv", "data.clean_lo=abc", "data.clean_lo"),
+        ("ohlc_csv", "data.clean_lo=2", "data.clean_lo"),
+        ("ohlc_csv", "data.schema=5", "data.schema"),
+        ("relatives_csv", "output=5", "output"),
+        ("relatives_csv", "baselines.best_stock=maybe", "baselines.best_stock"),
+        ("ohlc_csv", "data.clean=maybe", "data.clean"),
+        ("relatives_csv", "record_agents=maybe", "record_agents"),
+        ("relatives_csv", "grid.levels=true", "grid.levels"),
+        ("synth", "data.seed=true", "data.seed"),
+        ("relatives_csv", "matching.ridge=-1", "matching.ridge"),
+        ("relatives_csv", "data.tickers=PAIRA", "data.tickers"),
+        ("ohlc_csv", "data.schema.volume=vol", "data.schema.volume"),
+    ])
+    def test_mistyped_value_exit_two(self, tmp_path, kind, override, path, capsys):
+        """Each value is typed and bounded by the key table, not by where it is used."""
+        doc = make_doc(baselines={"best_stock": True, "universal_portfolio": {"resolution": 20}})
+        if kind != "synth":
+            doc["data"] = {"kind": kind, "path": str(FIXTURE_DIR / "pair_synthetic.csv")}
+        config = tmp_path / "cfg.yaml"
+        config.write_text(yaml.safe_dump(doc))
+        assert cli.main(["run", str(config), "--set", override]) == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["absolute", "active"])
+    def test_unknown_projection_exit_two(self, tmp_path, mode, capsys):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(yaml.safe_dump(make_doc(mode=mode)))
+        assert cli.main(["run", str(config), "--set", "matching.projection=foo"]) == 2
+        assert "config error: matching: unknown projection 'foo'" in capsys.readouterr().err
+
+    def test_universal_portfolio_grid_too_large_exit_two(self, tmp_path, capsys):
+        """The resolution that fits depends on the asset count, so run() checks it."""
+        config = tmp_path / "cfg.yaml"
+        config.write_text(yaml.safe_dump(make_doc()))
+        argv = ["run", str(config), "--set", "data.assets=4",
+                "--set", "baselines.universal_portfolio=true"]
+        assert cli.main(argv) == 2
+        assert "config error: baselines.universal_portfolio.resolution: simplex grid" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["relatives_csv", "ohlc_csv"])
+    def test_unreadable_data_path_exit_three(self, tmp_path, kind, capsys):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(yaml.safe_dump({"spec_version": 1,
+                                          "data": {"kind": kind, "path": str(tmp_path)}}))
+        assert cli.main(["run", str(config)]) == 3
+        assert "data error: cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, overrides, path", [
+        ("spec_version: 1\ndata: [\n", [], "<root>"),
+        ("", ["mode=active"], "<root>"),
+        (yaml.safe_dump(BASE_DOC), ["mode=["], "mode"),
+    ], ids=["bad-file", "empty-file-with-override", "bad-override"])
+    def test_unparsable_yaml_exit_two(self, tmp_path, text, overrides, path, capsys):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(text)
         argv = ["run", str(config)] + [arg for item in overrides for arg in ("--set", item)]
         assert cli.main(argv) == 2
         assert f"config error: {path}: " in capsys.readouterr().err

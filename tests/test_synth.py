@@ -64,11 +64,6 @@ class TestCaseMeans:
         assert (means == 0.999).sum() == 3
         assert (means == 1.001).sum() == 7
 
-    def test_sdc4_configurable_down_assets(self):
-        spec = SynthSpec(case="SDC4", seed=3, down_assets=(4, 9))
-        means = asset_means(spec)
-        assert list(np.flatnonzero(means == 0.999)) == [4, 9]
-
     def test_flat_and_drift_cases(self):
         np.testing.assert_array_equal(asset_means(SynthSpec(case="SDC1", seed=1)), 1.0)
         np.testing.assert_array_equal(asset_means(SynthSpec(case="SDC2", seed=1)), 1.001)
