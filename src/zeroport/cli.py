@@ -79,7 +79,7 @@ def main(argv=None) -> int:
     except runner.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, FileNotFoundError) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except BankruptcyError as exc:

@@ -253,20 +253,28 @@ class WealthTrack:
         return out
 
     def to_csv(self, path, include_agents: bool = False):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["t", "wealth", "turnover", "hold_cash"]
-            n_agents = 0
-            if include_agents and self.agent_wealth is not None:
-                n_agents = self.agent_wealth.shape[1]
-                header += [f"agent_{i}" for i in range(n_agents)]
-            writer.writerow(header)
-            for t in range(self.n_periods):
-                row = [t + 1, repr(float(self.wealth[t])),
-                       repr(float(self.turnover[t])), int(self.hold_cash[t])]
-                if n_agents:
-                    row += [repr(float(v)) for v in self.agent_wealth[t]]
-                writer.writerow(row)
+        header = ["t", "wealth", "turnover", "hold_cash"]
+        agents = self.agent_wealth if include_agents else None
+        if agents is not None:
+            header += [f"agent_{i}" for i in range(agents.shape[1])]
+
+        def rows():
+            columns = zip(self.wealth.tolist(), self.turnover.tolist(),
+                          self.hold_cash.astype(int).tolist())
+            for t, fields in enumerate(columns):
+                yield [t + 1, *fields, *(agents[t].tolist() if agents is not None else ())]
+
+        write_csv(path, header, rows())
+
+
+def write_csv(path, header, rows):
+    """A CSV file of a header and rows of Python ints and floats, with the
+    bytes ``csv.writer`` writes: each number's repr, comma-separated, no
+    quotes, CRLF line ends.  Rows are written one at a time."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\r\n")
 
 
 def run_backtest(x, controls, mode: str, rule: MixtureRule | None = None,

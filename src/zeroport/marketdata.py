@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from contextlib import closing
 from dataclasses import dataclass, replace
 from datetime import datetime
@@ -133,37 +134,59 @@ def load_csv(path, schema: dict | None = None, delimiter: str = ",") -> list:
     Rows may arrive unsorted; duplicate (ticker, timestamp) pairs are
     rejected.  A non-positive or blank price flags the bar missing rather
     than failing the load; anything unparsable raises with its row number.
+    Rows are numbered from 2 without counting blank lines; a short row reads
+    as blank in its missing fields, and extra fields are ignored.
     """
     cols = dict(DEFAULT_SCHEMA, **(schema or {}))
+    fields = ("open", "high", "low", "close")
     per_ticker: dict = {}
+    parsed: dict = {}  # timestamp text -> datetime, each parsed once
+    rownum = 0  # the last row read
     with closing(_lines(path)) as lines:
-        reader = csv.DictReader(lines, delimiter=delimiter)
-        if reader.fieldnames is None:
-            raise DataError("empty file")
-        for key in cols.values():
-            if key not in reader.fieldnames:
-                raise DataError(f"missing column {key!r} (have {reader.fieldnames})")
-        for rownum, rec in enumerate(reader, start=2):
-            ticker = (rec[cols["ticker"]] or "").strip()
-            if not ticker:
-                raise DataError("blank ticker", rownum)
-            ts = _parse_timestamp((rec[cols["timestamp"]] or "").strip(), rownum)
-            prices = []
-            missing = False
-            for f in ("open", "high", "low", "close"):
-                raw = (rec[cols[f]] or "").strip()
-                if raw == "" or raw.lower() == "nan":
-                    prices.append(np.nan)
-                    missing = True
+        reader = csv.reader(lines, delimiter=delimiter)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataError("empty file")
+            rownum = 1
+            pos = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+            for key in cols.values():
+                if key not in pos:
+                    raise DataError(f"missing column {key!r} (have {header})")
+            i_ticker, i_stamp = pos[cols["ticker"]], pos[cols["timestamp"]]
+            i_prices = [pos[cols[f]] for f in fields]
+            width = max(pos.values()) + 1
+            for rec in reader:
+                if not rec:
                     continue
-                try:
-                    val = float(raw)
-                except ValueError as exc:
-                    raise DataError(f"unparsable {f} price {raw!r}", rownum) from exc
-                if val <= 0 or not np.isfinite(val):
-                    missing = True
-                prices.append(val)
-            per_ticker.setdefault(ticker, []).append((ts, prices, missing, rownum))
+                rownum += 1
+                if len(rec) < width:
+                    rec += [""] * (width - len(rec))
+                ticker = rec[i_ticker].strip()
+                if not ticker:
+                    raise DataError("blank ticker", rownum)
+                raw = rec[i_stamp].strip()
+                ts = parsed.get(raw)
+                if ts is None:
+                    ts = parsed[raw] = _parse_timestamp(raw, rownum)
+                prices = []
+                missing = False
+                for f, i in zip(fields, i_prices):
+                    raw = rec[i].strip()
+                    if raw == "" or raw.lower() == "nan":
+                        prices.append(math.nan)
+                        missing = True
+                        continue
+                    try:
+                        val = float(raw)
+                    except ValueError as exc:
+                        raise DataError(f"unparsable {f} price {raw!r}", rownum) from exc
+                    if not 0 < val < math.inf:
+                        missing = True
+                    prices.append(val)
+                per_ticker.setdefault(ticker, []).append((ts, prices, missing, rownum))
+        except csv.Error as exc:
+            raise DataError(f"malformed CSV: {exc}", rownum + 1) from exc
 
     out = []
     for ticker in sorted(per_ticker):
@@ -266,25 +289,28 @@ def load_relatives_csv(path, delimiter: str = ",") -> PriceRelativeMatrix:
     This is the passthrough mode for files that already ship relatives
     (e.g. the public NYSE test sets); no ratios are computed.
     """
+    rows, rownum = [], 0  # rownum: the last row read
     with closing(_lines(path)) as lines:
         reader = csv.reader(lines, delimiter=delimiter)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("empty file") from None
-        tickers = [h.strip() for h in header]
-        if not tickers or any(not t for t in tickers):
-            raise DataError("header must name one ticker per column")
-        rows = []
-        for rownum, rec in enumerate(reader, start=2):
-            if not rec or all(not cell.strip() for cell in rec):
-                continue
-            if len(rec) != len(tickers):
-                raise DataError(f"expected {len(tickers)} columns, got {len(rec)}", rownum)
-            try:
-                rows.append([float(cell) for cell in rec])
-            except ValueError as exc:
-                raise DataError(f"unparsable relative in {rec!r}", rownum) from exc
+            header = next(reader, None)
+            if header is None:
+                raise DataError("empty file")
+            rownum = 1
+            tickers = [h.strip() for h in header]
+            if not tickers or any(not t for t in tickers):
+                raise DataError("header must name one ticker per column")
+            for rownum, rec in enumerate(reader, start=2):
+                if not rec or all(not cell.strip() for cell in rec):
+                    continue
+                if len(rec) != len(tickers):
+                    raise DataError(f"expected {len(tickers)} columns, got {len(rec)}", rownum)
+                try:
+                    rows.append([float(cell) for cell in rec])
+                except ValueError as exc:
+                    raise DataError(f"unparsable relative in {rec!r}", rownum) from exc
+        except csv.Error as exc:
+            raise DataError(f"malformed CSV: {exc}", rownum + 1) from exc
     if not rows:
         raise DataError("no data rows")
     values = np.asarray(rows, dtype=float)

@@ -15,13 +15,16 @@ clamped to [1, candidates]; under the others, the best match per block.
 The engine runs per cluster over blocks of periods.  Two distance matrices
 between the block's query rows and every earlier row are built once and
 every window's scores follow by lagged adds (:func:`_block_selections`);
-each (period, tau, k) group then selects its rows.  The block's row lists
-are summed in one stacked call per set of prefix lengths, which the
-k-groups of a period normally share (:func:`_prefix_moments`); one fund
-solve maps the block's moments to controls.  Agents without a match, or
-whose solve fails, keep the fallback: equal weights on their cluster in
-absolute mode, cash in active mode.  A period gets the same bits in any
-block, so a series equals repeated one-period calls.
+each (tau, k) group then selects its rows.  Under the trivial partition the
+periods whose ell-hats are at most a quarter of their candidates share one
+row-wise partition (:func:`_nearest`); the others are sorted one period at
+a time.  The block's row lists are summed in one stacked call per set of
+prefix lengths, which the groups and periods of a block normally share
+(:func:`_prefix_moments`); one fund solve maps the block's moments to
+controls.  Agents without a match, or whose solve fails, keep the
+fallback: equal weights on their cluster in absolute mode, cash in active
+mode.  A period gets the same bits in any block, so a series equals
+repeated one-period calls.
 """
 
 from __future__ import annotations
@@ -194,52 +197,97 @@ class MatchResult:
 
 
 def _stable_smallest(scores, n_smallest):
-    """Indices of the n smallest scores, earliest index first among ties.
+    """Indices of the n smallest scores along the last axis of a 1-D row or
+    a 2-D block of rows, earliest index first among ties.
 
-    Equivalent to ``np.argsort(scores, kind="stable")[:n_smallest]`` but via
-    argpartition when that is much smaller than the candidate count.
+    Equivalent to ``np.argsort(scores, axis=-1, kind="stable")[..., :n_smallest]``
+    but via one row-wise partition when n is at most a quarter of the
+    candidate count: a row with exactly n scores at or below its cut takes
+    them in index order and stably sorts their values; a row with ties
+    across the cut is sorted whole.
     """
-    n = scores.shape[0]
+    n = scores.shape[-1]
     if n_smallest >= n or n_smallest * 4 > n:
-        return np.argsort(scores, kind="stable")[:n_smallest]
-    cut = np.partition(scores, n_smallest - 1)[n_smallest - 1]
-    candidates = np.flatnonzero(scores <= cut)
-    order = candidates[np.argsort(scores[candidates], kind="stable")]
-    return order[:n_smallest]
+        return np.argsort(scores, axis=-1, kind="stable")[..., :n_smallest]
+    block = np.atleast_2d(scores)
+    cut = np.partition(block, n_smallest - 1, axis=1)[:, n_smallest - 1, None]
+    below = block <= cut
+    exact = np.count_nonzero(below, axis=1) == n_smallest
+    rows, cols = np.nonzero(below & exact[:, None])  # row-major: ascending j per row
+    cols = cols.reshape(-1, n_smallest)
+    order = np.argsort(block[rows, cols.ravel()].reshape(cols.shape), axis=1, kind="stable")
+    out = np.empty((block.shape[0], n_smallest), dtype=np.intp)
+    out[exact] = np.take_along_axis(cols, order, axis=1)
+    for p in np.flatnonzero(~exact):
+        out[p] = np.argsort(block[p], kind="stable")[:n_smallest]
+    return out.reshape(scores.shape[:-1] + (n_smallest,))
 
 
-def _select(scores, t, k, tau, ells, rule, partition, levels):
-    """Matched outcome rows (one int array per level in ``ells``, empty = no
-    match) of agents sharing k and tau, from their n > 0 candidates'
-    ``scores`` at history length t.  Trivial partition: each agent's ell-hat
-    nearest, read off one stable partial sort.  Otherwise: the best
-    candidate in each of the agent's ell time blocks, earliest on ties.
+def _nearest(scored, row0, t0, t1, k, tau, group, rule, levels):
+    """Trivial-partition selections of one (tau, k) group in the format of
+    :func:`_block_selections`: each agent's ell-hat nearest candidates,
+    ell-hat clamped to [1, candidates].
+
+    At history length t the n = t - tau - k + 1 candidates are scored in
+    ``scored[t - row0, :n]``.  Rows whose largest ell-hat is at most a
+    quarter of n are gathered by their ell-hats into one
+    :func:`_stable_smallest` block, each row's later candidates set to NaN,
+    which sorts after every score; the other rows are sorted one by one.
     """
-    n = scores.shape[0]
     shift = k - 1 + tau  # candidate index -> outcome row
-    if partition == "trivial":
-        if rule == "gyorfi_nn":
-            ells = [gyorfi_match_count(ell, levels, t) for ell in ells]
-        lhats = [max(1, min(lhat, n)) for lhat in ells]  # clamp to [1, candidates]
-        rows = _stable_smallest(scores, max(lhats)) + shift
-        return [rows[:lhat] for lhat in lhats]
-    out = []
-    for ell in ells:
-        try:
-            bounds = _block_bounds(t, partition, ell)
-        except ValueError:
-            out.append(_NO_ROWS)
+    ells = tuple(spec.ell for _, spec in group)
+    blocks = {}
+    for t in range(t0, t1):
+        n = t - shift  # admissible candidates
+        if n <= 0:
+            yield [t], group, _NO_ROWS[None], (0,) * len(group)
             continue
-        # Candidate i covers rows i..i+k-1, so it fits in [lo, hi) for lo <= i <= hi - k.
-        fits = [(lo, min(hi - k + 1, n)) for lo, hi in bounds]
-        best = [a + int(scores[a:b].argmin()) for a, b in fits if a < b]
-        out.append(np.asarray(best, dtype=np.intp) + shift)
-    return out
+        lhats = tuple(gyorfi_match_count(ell, levels, t) for ell in ells) \
+            if rule == "gyorfi_nn" else ells
+        if not 1 <= min(lhats) <= max(lhats) <= n:
+            lhats = tuple(max(1, min(lhat, n)) for lhat in lhats)
+        if 4 * max(lhats) <= n:
+            blocks.setdefault(lhats, []).append(t)
+        else:
+            yield [t], group, _stable_smallest(scored[t - row0, :n], max(lhats))[None] + shift, \
+                lhats
+    for lhats, ts in blocks.items():
+        ts = np.array(ts)
+        block = scored[ts - row0, :ts[-1] - shift]
+        block[np.arange(block.shape[1]) >= (ts - shift)[:, None]] = np.nan
+        # One period stays a 1-D call: benchmarks/selftest.py's engine fault
+        # swaps entries 0 and 1 of the result.
+        rows = _stable_smallest(block, max(lhats)) if ts.size > 1 else \
+            _stable_smallest(block[0], max(lhats))[None]
+        yield ts, group, rows + shift, lhats
+
+
+def _best_per_block(scored, row0, t0, t1, k, tau, group, partition):
+    """Overlapping or exclusive selections of one (tau, k) group in the
+    format of :func:`_block_selections`, one agent at a time: the best
+    candidate in each of the agent's ell time blocks, earliest on ties."""
+    shift = k - 1 + tau
+    for t in range(t0, t1):
+        n = t - shift
+        for agent in group:
+            try:
+                bounds = _block_bounds(t, partition, agent[1].ell)
+            except ValueError:
+                bounds = []
+            # Candidate i covers rows i..i+k-1, so it fits in [lo, hi) for lo <= i <= hi - k.
+            fits = [(lo, min(hi - k + 1, n)) for lo, hi in bounds]
+            best = [a + int(scored[t - row0, a:b].argmin()) for a, b in fits if a < b]
+            yield [t], [agent], np.array([best], dtype=np.intp) + shift, (len(best),)
 
 
 def _block_selections(xw, t0, t1, groups, rule, partition, levels):
-    """Yield (t, group, selections) of :func:`_select` for t0 <= t < t1 and
-    each group in ``groups``, {(tau, k): [(agent index, spec), ...]}.
+    """Yield (periods, agents, rows, lens) for the history lengths
+    t0 <= t < t1 and each group in ``groups``, {(tau, k): [(agent index,
+    spec), ...]}: agent a of ``agents`` selects the outcome rows
+    ``rows[p, :lens[a]]`` at t = periods[p], none if lens[a] is 0.  Under the
+    trivial partition these are prefixes of one sorted row list
+    (:func:`_nearest`); otherwise each agent has a list of its own
+    (:func:`_best_per_block`).
 
     Built once over the block's query rows q and every candidate row j:
     D[q, j] = sum over assets of |x_q - x_j|, and the Euclidean row distance
@@ -264,12 +312,11 @@ def _block_selections(xw, t0, t1, groups, rule, partition, levels):
         while live < k:
             live += 1  # s[a, b]: the window ending at row lo + a + live - 1 vs candidate b
             s = s[:-1, :-1] + dist[live - 1:, live - 1:]
-        scored = euclid if k == 1 else s
-        ells = [spec.ell for _, spec in group]
-        for t in range(t0, t1):
-            n = t - tau - k + 1  # admissible candidates
-            yield t, group, (_select(scored[t - k - lo, :n], t, k, tau, ells, rule, partition,
-                                     levels) if n > 0 else [_NO_ROWS] * len(ells))
+        scored = euclid if k == 1 else s  # history length t scores in row t - k - lo
+        if partition == "trivial":
+            yield from _nearest(scored, k + lo, t0, t1, k, tau, group, rule, levels)
+        else:
+            yield from _best_per_block(scored, k + lo, t0, t1, k, tau, group, partition)
 
 
 def match(
@@ -298,8 +345,9 @@ def match(
         raise ValueError(f"unknown match rule {rule!r}")
     levels = levels if levels is not None else spec.ell
     t = xw.shape[0]
-    rows = next(_block_selections(xw, t, t + 1, {(spec.tau, spec.k): [(0, spec)]},
-                                  rule, partition, levels))[2][0]
+    _, _, rows, lens = next(_block_selections(xw, t, t + 1, {(spec.tau, spec.k): [(0, spec)]},
+                                              rule, partition, levels))
+    rows = rows[0, :lens[0]]
     if rows.size == 0:
         raise NoMatchError(f"history of {t} periods admits no "
                            f"(k={spec.k}, tau={spec.tau}, {partition}) candidate")
@@ -426,41 +474,37 @@ class PatternAgents:
         (cluster, tau, k): the kernel's one-period block at t = len(xw)."""
         spec, t = group[0][1], xw.shape[0]
         block = _block_selections(xw, t, t + 1, {(spec.tau, spec.k): group}, *self._match_args)
-        return next(block)[2]
+        return [rows[0, :n] for _, _, rows, lens in block for n in lens]
 
     def _block_moments(self, xw, t0, t1, w):
         """(periods, agents, mus, covs, deficient) of the matched agents of
         cluster w at history lengths t0 <= t < t1, or None if none matched.
 
-        "Deficient" covariances have no more samples than assets.  A
-        trivial-partition group's selections are prefixes of one sorted row
-        list; a partition agent's rows are a list of their own.  Lists are
-        stacked by their prefix lengths, one moments call per set, with a
-        segment per row up to ``levels`` rows and a segment per prefix
-        length beyond; each list's sums do not depend on which lists share
-        its stack, so the bits equal a one-list call's.
+        "Deficient" covariances have no more samples than assets.  Each row
+        list of :func:`_block_selections` serves its agents as prefixes.
+        Lists are stacked by their agents' prefix lengths, one moments call
+        per set, with a segment per row up to ``levels`` rows and a segment
+        per prefix length beyond; each list's sums do not depend on which
+        lists share its stack, so the bits equal a one-list call's.
         """
-        trivial = self.config.partition == "trivial"
         stacks = {}
-        block = _block_selections(xw, t0, t1, self._groups[w], *self._match_args)
-        for t, group, selections in block:
-            runs = [(group, selections)] if trivial else \
-                [([agent], [sel]) for agent, sel in zip(group, selections)]
-            for agents, sels in runs:
-                lens = tuple(sel.size for sel in sels)
-                if max(lens):  # a trivial-partition group matches all or none
-                    entries, lists = stacks.setdefault(lens, ([], []))
-                    entries += [(t, i, n, len(lists)) for (i, _), n in zip(agents, lens)]
-                    lists.append(max(sels, key=len))
+        for periods, agents, rows, lens in _block_selections(xw, t0, t1, self._groups[w],
+                                                             *self._match_args):
+            if max(lens):  # a trivial-partition group matches all or none
+                stacks.setdefault(lens, []).append((periods, [i for i, _ in agents], rows))
         if not stacks:
             return None
         parts = []
-        for key, (entries, lists) in stacks.items():
-            periods, ids, lens, which = np.array(entries).T
+        for key, chunks in stacks.items():
+            periods, ids, rows = zip(*chunks)
+            rows = np.concatenate(rows)
+            which = np.repeat(np.arange(rows.shape[0]), len(key))  # entry -> its row list
+            ids = np.repeat(ids, [len(ts) for ts in periods], axis=0).ravel()
+            lens = np.tile(key, rows.shape[0])
             n = max(key)
-            cuts = np.arange(1, n + 1) if n <= self.levels else np.unique(lens)
-            parts.append((periods, ids, lens, *_prefix_moments(xw[np.stack(lists)], which, lens,
-                                                               cuts)))
+            cuts = np.arange(1, n + 1) if n <= self.levels else np.unique(key)
+            parts.append((np.concatenate(periods)[which], ids, lens,
+                          *_prefix_moments(xw[rows], which, lens, cuts)))
         periods, agents, lens, mus, covs = (np.concatenate(col) for col in zip(*parts))
         return periods, agents, mus, covs, lens <= xw.shape[1]
 
@@ -565,11 +609,11 @@ class PatternAgents:
         out = self._fallback.copy()
         for w, cols in enumerate(self._cols):
             xw = np.ascontiguousarray(x[:, cols])
-            for _, group, selections in _block_selections(xw, t, t + 1, self._groups[w],
-                                                          *self._match_args):
-                for (i, _), sel in zip(group, selections):
-                    if sel.size:
-                        warm[i] = fundsep.log_optimal_controls(xw[sel], "absolute",
+            for _, agents, rows, lens in _block_selections(xw, t, t + 1, self._groups[w],
+                                                           *self._match_args):
+                for (i, _), n in zip(agents, lens):
+                    if n:
+                        warm[i] = fundsep.log_optimal_controls(xw[rows[0, :n]], "absolute",
                                                                x0=warm.get(i))
                         out[i, cols] = warm[i]
         return out

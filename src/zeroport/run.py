@@ -28,7 +28,7 @@ import numpy as np
 import yaml
 
 from . import baselines, ksstats, marketdata, synth
-from .learner import BankruptcyError, MixtureRule, WealthTrack, run_backtest
+from .learner import BankruptcyError, MixtureRule, WealthTrack, run_backtest, write_csv
 from .patterns import ClusterMap, MatchConfig, PatternAgents, agent_grid
 
 SPEC_VERSION = 1
@@ -243,8 +243,11 @@ def apply_overrides(doc: dict, overrides) -> dict:
 
 
 def load_config(path, overrides=None) -> RunConfig:
-    with open(path) as fh:
-        doc = _yaml(fh, "<root>")
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(str(path), f"cannot read config file: {exc}") from None
+    doc = _yaml(text, "<root>")
     if overrides:
         doc = apply_overrides(doc, overrides)
     return config_from_dict(doc)
@@ -371,11 +374,9 @@ def _write_wealth_csv(path, track, extra_tracks, net_track):
     columns = {"portfolio": track, **extra_tracks}
     if net_track is not None:
         columns["portfolio_net"] = net_track
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", *columns])
-        for t in range(track.n_periods):
-            writer.writerow([t + 1, *(repr(float(tr.wealth[t])) for tr in columns.values())])
+    wealth = [tr.wealth[:track.n_periods].tolist() for tr in columns.values()]
+    write_csv(path, ["t", *columns], ([t + 1, *row] for t, row in
+                                      enumerate(zip(*wealth, strict=True))))
 
 
 # -- batch mode -------------------------------------------------------------

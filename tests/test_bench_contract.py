@@ -70,12 +70,13 @@ def test_engine_checks_pass(market, rule):
 @pytest.mark.parametrize("rule", ["trivial", "gyorfi_nn"])
 def test_series_selects_through_stable_smallest(market, monkeypatch, rule):
     # benchmarks/selftest.py injects its engine fault at patterns._stable_smallest;
-    # every live (period, tau, k) group of a trivial-partition series must call it.
-    calls = []
+    # every live (period, tau, k) group of a trivial-partition series must pass
+    # through it once, as a 1-D row or as one row of a 2-D block.
+    rows = []
     original = patterns._stable_smallest
 
     def counted(scores, n_smallest):
-        calls.append(scores.shape[0])
+        rows.extend([scores.shape[-1]] * (scores.shape[0] if scores.ndim == 2 else 1))
         return original(scores, n_smallest)
 
     monkeypatch.setattr(patterns, "_stable_smallest", counted)
@@ -85,5 +86,5 @@ def test_series_selects_through_stable_smallest(market, monkeypatch, rule):
     engine.controls_series(market, MODES)
     live = sum(1 for spec in specs if spec.ell == 1
                for t in range(PERIODS) if t - spec.tau - spec.k + 1 > 0)
-    assert len(calls) == live
-    assert all(n > 0 for n in calls)
+    assert len(rows) == live
+    assert all(n > 0 for n in rows)

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,37 @@ class TestWealthTrack:
         assert len(rows) == 10
         last = rows[-1].split(",")
         assert float(last[1]) == track.terminal
+
+    @pytest.mark.parametrize("include_agents", [True, False])
+    def test_csv_bytes_equal_csv_writer(self, tmp_path, rng, include_agents):
+        # Negative, subnormal, huge, integral and signed-zero floats; bool hold_cash.
+        special = [-1.5, 5e-324, -2.2250738585072014e-309, 1e308, 3.0, -0.0, 0.1 + 0.2]
+        wealth = np.concatenate([special, rng.uniform(0.5, 2.0, 5)])
+        n = wealth.size
+        track = WealthTrack(wealth=wealth, controls=np.zeros((n, 2)),
+                            turnover=-rng.uniform(0.0, 1e-310, n),
+                            hold_cash=rng.random(n) < 0.5, mode="active",
+                            agent_wealth=rng.permutation(np.resize(special, (n, 3))))
+        path, ref = tmp_path / "agents.csv", tmp_path / "ref.csv"
+        track.to_csv(path, include_agents=include_agents)
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "wealth", "turnover", "hold_cash"]
+                            + ["agent_0", "agent_1", "agent_2"] * include_agents)
+            for t in range(n):
+                writer.writerow([t + 1, repr(float(track.wealth[t])),
+                                 repr(float(track.turnover[t])), int(track.hold_cash[t])]
+                                + [repr(float(v)) for v in track.agent_wealth[t]]
+                                * include_agents)
+        assert path.read_bytes() == ref.read_bytes()
+
+    def test_write_csv_bytes_equal_csv_writer(self, tmp_path):
+        rows = [[1, -0.5, 5e-324], [-7, 2**70, 1e-310], [0, True, False]]
+        path, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+        learner.write_csv(path, ["t", "a b", "c"], rows)
+        with open(ref, "w", newline="") as fh:
+            csv.writer(fh).writerows([["t", "a b", "c"], *rows])
+        assert path.read_bytes() == ref.read_bytes()
 
     def test_summary_contains_best_agent(self, rng):
         x = np.exp(rng.normal(0, 0.02, size=(9, 2)))

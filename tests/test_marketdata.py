@@ -100,6 +100,28 @@ class TestLoadCsv:
                                         "open": "o", "high": "h", "low": "l", "close": "c"})
         assert series[0].close.tolist() == [1.0, 2.0]
 
+    def test_blank_lines_skipped_and_not_counted(self, tmp_path):
+        body = "\nAAA,2001-01-01,10,10,10,10\n\n\nAAA,2001-01-02,11,11,11,11\n\n"
+        series = load_csv(write(tmp_path, body))
+        assert series[0].close.tolist() == [10.0, 11.0]
+        path = write(tmp_path, body + "AAA,2001-01-03,12,12,12,twelve\n", name="bad.csv")
+        with pytest.raises(DataError, match="row 4: unparsable close price 'twelve'"):
+            load_csv(path)
+
+    def test_short_row_reads_blank_and_extra_fields_ignored(self, tmp_path):
+        body = "AAA,2001-01-01,10,10\nAAA,2001-01-02,11,11,11,11,extra,fields\n"
+        series = load_csv(write(tmp_path, body))
+        assert series[0].missing.tolist() == [True, False]
+        assert np.isnan(series[0].close[0]) and series[0].close[1] == 11.0
+        with pytest.raises(DataError, match="row 4: unparsable ISO timestamp ''"):
+            load_csv(write(tmp_path, body + "AAA\n", name="short.csv"))
+
+    def test_repeated_column_name_reads_last(self, tmp_path):
+        path = tmp_path / "bars.csv"
+        path.write_text("ticker,timestamp,open,high,low,close,close\n"
+                        "AAA,2001-01-01,1,1,1,9,2\nAAA,2001-01-02,1,1,1,9,3\n")
+        assert load_csv(path)[0].close.tolist() == [2.0, 3.0]
+
 
 class TestToRelatives:
     def _series(self, tmp_path, rows, ticker="AAA"):
@@ -287,6 +309,15 @@ class TestUnreadableFile:
         path = tmp_path / "binary.csv"
         path.write_bytes(b"A,B\n\xff\xfe,1.0\n")
         with pytest.raises(DataError, match="cannot read"):
+            load(path)
+
+    def test_oversized_field_is_data_error_with_row(self, tmp_path, load):
+        # csv's default field limit is 131 072 characters.
+        path = tmp_path / "big.csv"
+        head = HEADER + "AAA,2001-01-01,10,10,10,10\nAAA,2001-01-02,11,11,11," \
+            if load is load_csv else "A,B\n1.0,1.0\n1.0,"
+        path.write_text(head + "1" * 131_073 + "\n")
+        with pytest.raises(DataError, match="row 3: malformed CSV: field larger than"):
             load(path)
 
 

@@ -308,6 +308,73 @@ class TestEngineSelections:
                                         brute_partition_matches(x[:t], k, masks, tau)]
                         assert rows.tolist() == expected, (t, spec)
 
+    @pytest.mark.parametrize("seed", range(24))
+    def test_block_selections_equal_per_row_stable_argsort(self, monkeypatch, seed):
+        # Prices on a 1/8 grid make every score exact in any summation order,
+        # so the scan below gives the engine's bits; copied history rows plant
+        # exact ties, also across the partition's cut.
+        rng = np.random.default_rng([seed, 11])
+        m, t1 = int(rng.integers(1, 4)), int(rng.integers(20, 140))
+        t0 = max(t1 - int(rng.integers(1, 33)), 0)
+        x = rng.integers(4, 13, size=(t1, m)) / 8.0
+        for _ in range(int(rng.integers(1, 6))):
+            size = int(rng.integers(1, 8))
+            src, dst = rng.integers(0, t1 - size, size=2)
+            x[dst:dst + size] = x[src:src + size].copy()
+        rule = ("trivial", "gyorfi_nn")[seed % 2]
+        levels = int(rng.integers(1, 13)) if rule == "trivial" else 1 + seed % 3
+        groups, n_agents = {}, 0
+        for tau in (1, 2):
+            for k in rng.choice(np.arange(1, 6), size=int(rng.integers(1, 4)), replace=False):
+                ells = sorted(rng.choice(np.arange(1, levels + 1),
+                                         size=int(rng.integers(1, levels + 1)), replace=False))
+                groups[(tau, int(k))] = [(n_agents + a, AgentSpec(k=int(k), ell=int(ell), tau=tau))
+                                         for a, ell in enumerate(ells)]
+                n_agents += len(ells)
+
+        blocks, original = [], patterns._stable_smallest
+        monkeypatch.setattr(patterns, "_stable_smallest", lambda scores, n:
+                            blocks.append(scores.ndim) or original(scores, n))
+        seen = {}
+        for periods, agents, rows, lens in patterns._block_selections(
+                x, t0, t1, groups, rule, "trivial", levels):
+            for p, t in enumerate(np.asarray(periods).tolist()):
+                for (i, spec), n_rows in zip(agents, lens):
+                    assert (t, i) not in seen
+                    seen[(t, i)] = (spec, rows[p, :n_rows])
+        assert len(seen) == (t1 - t0) * n_agents
+
+        for (t, _), (spec, got) in seen.items():
+            k, tau = spec.k, spec.tau
+            n = t - tau - k + 1  # admissible candidates
+            if n <= 0:
+                assert got.size == 0
+                continue
+            if k == 1:
+                scores = np.sqrt(((x[:n] - x[t - 1]) ** 2).sum(axis=1))
+            else:
+                scores = np.array([np.abs(x[j:j + k] - x[t - k:t]).sum() for j in range(n)])
+            wanted = spec.ell if rule == "trivial" else gyorfi_match_count(spec.ell, levels, t)
+            lhat = max(1, min(wanted, n))
+            expected = np.argsort(scores, kind="stable")[:lhat] + k - 1 + tau
+            assert got.tolist() == expected.tolist(), (t, spec)
+            assert got.max() < n + k - 1 + tau  # no look-ahead candidate
+        if t1 - t0 > 1 and (levels == 1 or rule == "trivial" and levels <= 3):
+            assert 2 in blocks  # the block path ran
+
+    @pytest.mark.parametrize("n_smallest", [1, 2, 3, 5])
+    def test_stable_smallest_block_equals_argsort(self, rng, n_smallest):
+        # Few distinct values: most rows tie across the cut, some do not; NaN
+        # tails stand for the look-ahead candidates the engine masks.
+        scores = rng.integers(0, 6, size=(40, 30)).astype(float)
+        scores[5] = np.arange(30)[::-1]
+        for row, tail in zip(scores, rng.integers(0, 10, size=40)):
+            row[row.size - tail:] = np.nan
+        got = patterns._stable_smallest(scores, n_smallest)
+        np.testing.assert_array_equal(got, np.argsort(scores, axis=1, kind="stable")[:, :n_smallest])
+        for row, picked in zip(scores, got):
+            np.testing.assert_array_equal(picked, patterns._stable_smallest(row, n_smallest))
+
     @pytest.mark.parametrize("rule, partition, t", [
         pytest.param("gyorfi_nn", "trivial", t, id=str(t)) for t in (400, 1400, 2000)
     ] + [

@@ -540,6 +540,13 @@ class TestCli:
         assert cli.main(argv) == 2
         assert f"config error: {path}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "batch"])
+    @pytest.mark.parametrize("name", ["", "missing.yaml"], ids=["directory", "missing"])
+    def test_unreadable_config_path_exit_two(self, tmp_path, command, name, capsys):
+        config = tmp_path / name
+        assert cli.main([command, str(config)]) == 2
+        assert f"config error: {config}: cannot read config file" in capsys.readouterr().err
+
     def test_batch_sdc4_with_two_assets_exit_two(self, tmp_path, capsys):
         # The config names SDC1, which takes two assets; the batch sweep adds SDC4.
         config = tmp_path / "cfg.yaml"
