@@ -4,19 +4,22 @@ Part 1 reproduces the cost arithmetic behind the "12% a year unleveraged"
 claim: 15 bps of daily gross edge, 10 bps of slippage at full turnover,
 compounded over 250 trading days.
 
-Part 2 times the same 10-asset backtest three ways: analytic absolute,
-analytic active, and the numeric growth-optimal solver the analytic route
-replaces.  The numeric leg is the whole point of the quadratic
-approximation: expect an order of magnitude or two.
+Part 2 times the controls of the same 10-asset market three ways, one run
+each: analytic absolute, analytic active, and the numeric growth-optimal
+solver the analytic route replaces.  The numeric leg is the whole point
+of the quadratic approximation: expect an order of magnitude or two.
 
 Run:  python3 demos/frictions_and_timing.py   (the timing part takes a while)
 """
+
+import time
 
 import numpy as np
 
 from zeroport import synth
 from zeroport.learner import WealthTrack
-from zeroport.run import GridConfig, apply_frictions, timing_report
+from zeroport.patterns import PatternAgents, agent_grid
+from zeroport.run import apply_frictions
 
 # -- part 1: cost arithmetic --------------------------------------------------
 
@@ -37,14 +40,18 @@ print("netting exactly 5 bps/day compounds to", round(1.0005**250, 4))
 
 # -- part 2: timing -----------------------------------------------------------
 
-print("\ntiming three strategies on a 10-asset, 1000-period market")
-print("(median of 3 interleaved runs; spreads reported, ordering beyond")
-print("the noise band is what matters)\n")
+print("\ntiming one control run per strategy on a 10-asset, 1000-period market")
+print("(one run each, so expect some noise; the test suite's criterion 7")
+print("takes interleaved medians)\n")
 x = synth.generate(synth.SynthSpec(case="SDC3", assets=10, periods=1000, seed=5))
-rows = timing_report(x, strategies=("absolute", "active", "numeric"),
-                     repeats=3, grid=GridConfig(), warmup_periods=200)
-for row in rows:
-    print(f"  {row['strategy']:<10} median {row['median_seconds']:>8.2f}s"
-          f"   spread {row['spread']:.2f}s")
-ratio = rows[-1]["median_seconds"] / rows[0]["median_seconds"]
-print(f"\nnumeric / analytic ratio: {ratio:.0f}x")
+engine = PatternAgents(agent_grid(5, 10), 10)
+legs = (("absolute", lambda: engine.controls_series(x, ("absolute",))),
+        ("active", lambda: engine.controls_series(x, ("active",))),
+        ("numeric", lambda: engine.controls_numeric(x)))
+seconds = {}
+for name, leg in legs:
+    t0 = time.perf_counter()
+    leg()
+    seconds[name] = time.perf_counter() - t0
+    print(f"  {name:<10} {seconds[name]:>8.2f}s")
+print(f"\nnumeric / analytic ratio: {seconds['numeric'] / seconds['absolute']:.0f}x")

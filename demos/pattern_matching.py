@@ -1,7 +1,7 @@
 """How the nearest-neighbour agents see a price history.
 
 Builds a tiny market with a planted repeating pattern, then shows the
-pieces in order: time partitions, tuple distances, matched times under
+pieces in order: time partitions, match counts, matched times under
 both match-count rules, and finally the agent-control matrix a whole grid
 produces for the next period.
 
@@ -26,15 +26,6 @@ for kind, ell in (("trivial", 1), ("overlapping", 3), ("exclusive", 3)):
     masks = patterns.make_partitions(12, kind, ell).astype(int)
     print(f"{kind:>12}:", *("".join(map(str, row)) for row in masks))
 
-print("\n== tuple distances ==")
-query = x[-2:]
-candidate = x[10:12]
-print("query rows:      ", np.round(query, 4).tolist())
-print("candidate rows:  ", np.round(candidate, 4).tolist())
-print("per-asset score: ", np.round(patterns.tuple_distance(query, candidate), 5))
-print("(k = 1 broadcasts one Euclidean row distance to every asset)")
-print("single row:      ", np.round(patterns.tuple_distance(query[-1:], candidate[-1:]), 5))
-
 print("\n== match counts ==")
 for ell in (1, 5, 10):
     print(f"  gyorfi ell-hat at t={t}, L=10, ell={ell}:",
@@ -51,8 +42,7 @@ print("matched ends sit ~4 apart: the planted cycle is being recovered")
 print("\n== agent controls for the next period ==")
 grid = patterns.agent_grid(2, 3)
 engine = PatternAgents(grid, 2, config=MatchConfig(rule="trivial"))
-for mode in ("absolute", "active"):
-    h = engine.controls(x, mode)
+for mode, h in engine.controls_multi(x).items():
     print(f"{mode}:")
     for spec_i, row in zip(grid, h):
         print(f"   k={spec_i.k} ell={spec_i.ell}: {np.round(row, 3)}")

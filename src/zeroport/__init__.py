@@ -53,7 +53,6 @@ from .patterns import (
     gyorfi_match_count,
     make_partitions,
     match,
-    tuple_distance,
 )
 from .baselines import SimplexGrid, best_agent, best_stock, universal_portfolio
 from .ksstats import KsResult, RunTriple, cross_case_comparison, hypothesis_battery, ks_two_sample

@@ -250,13 +250,14 @@ def agent_controls(
                                   absolute_tilt=absolute_tilt)
 
 
-def log_optimal_controls(relatives, mode: str = "absolute", x0=None):
-    """Numerically growth-optimal weights over a sample of price relatives.
+def log_optimal_controls(relatives, x0=None):
+    """Numerically growth-optimal absolute weights over a sample of price
+    relatives, starting from ``x0`` (equal weights by default).
 
     Maximizes the sample mean of log(1 + w'(x-1)) with SLSQP under the
-    fully-invested constraints.  This is the optimizer the analytic route
-    replaces; it exists for timing comparisons and as an independent check,
-    not for production agent generation.
+    fully-invested constraints (weights >= 0, sum 1).  This is the optimizer
+    the analytic route replaces; it exists for timing comparisons and as an
+    independent check, not for production agent generation.
     """
     from scipy.optimize import minimize
 
@@ -264,8 +265,6 @@ def log_optimal_controls(relatives, mode: str = "absolute", x0=None):
     if r.ndim != 2:
         raise ValueError("relatives must be a (samples, assets) array")
     n, m = r.shape
-    if mode != "absolute":
-        raise ValueError("numeric optimizer is provided for absolute mode only")
 
     def objective(w):
         z = 1.0 + r @ w

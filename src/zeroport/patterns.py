@@ -6,11 +6,12 @@ relatives for its cluster, finds the closest k-row tuples in the
 admissible past, steps each matched time tau periods forward to collect an
 "agent tuple" of outcomes, and maps the sample mean/covariance of
 (outcome - 1) through the analytic fund-separation solver to produce its
-portfolio controls for period t+1.  Distances (:func:`tuple_distance`):
-the Euclidean row norm for k = 1, the window sum of absolute differences
-for k > 1.  Under the trivial partition an agent takes ell-hat = ell
-("trivial" rule) or :func:`gyorfi_match_count` ("gyorfi_nn") matches,
-clamped to [1, candidates]; under the others, the best match per block.
+portfolio controls for period t+1.  A one-row tuple (k = 1) is scored
+by the Euclidean norm of its row difference across the cluster's assets; a
+longer tuple by the sum of absolute differences over its rows and assets.
+Under the trivial partition an agent takes ell-hat = ell ("trivial" rule)
+or :func:`gyorfi_match_count` ("gyorfi_nn") matches, clamped to
+[1, candidates]; under the others, the best match per block.
 
 The engine runs per cluster over blocks of periods.  Two distance matrices
 between the block's query rows and every earlier row are built once and
@@ -23,8 +24,8 @@ prefix lengths, which the groups and periods of a block normally share
 (:func:`_prefix_moments`); one fund solve maps the block's moments to
 controls.  Agents without a match, or whose solve fails, keep the
 fallback: equal weights on their cluster in absolute mode, cash in active
-mode.  A period gets the same bits in any block, so a series equals
-repeated one-period calls.
+mode; so does a mode's non-finite control row.  A period gets the same
+bits in any block, so a series equals repeated one-period calls.
 """
 
 from __future__ import annotations
@@ -163,24 +164,6 @@ def gyorfi_match_count(ell: int, levels: int, t: int) -> int:
         raise ValueError(f"ell={ell} outside 1..{levels}")
     p = 0.02 if levels == 1 else 0.02 + 0.5 * (ell - 1) / (levels - 1)
     return int(math.floor(p * t))
-
-
-def tuple_distance(query, candidate):
-    """Per-asset distance between two k x m tuples.
-
-    k = 1 compares the rows as whole vectors: the Euclidean norm across
-    assets, broadcast to every asset position.  k > 1 scores each asset
-    column independently by the window sum of absolute differences.
-    """
-    q = np.atleast_2d(np.asarray(query, dtype=float))
-    c = np.atleast_2d(np.asarray(candidate, dtype=float))
-    if q.shape != c.shape:
-        raise ValueError(f"tuple shapes differ: {q.shape} vs {c.shape}")
-    diff = q - c
-    k, m = diff.shape
-    if k == 1:
-        return np.full(m, float(np.sqrt((diff * diff).sum())))
-    return np.abs(diff).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -536,7 +519,8 @@ class PatternAgents:
 
         Per cluster and block of ``_SOLVE_CHUNK`` periods: one pass of the
         matching kernel, stacked moments and one fund solve.  Every slot
-        starts at the fallback; the solved agents overwrite theirs.
+        starts at the fallback; per mode, the solved agents whose controls
+        are finite overwrite theirs.
         """
         out = {mode: np.zeros((t1 - t0, self.n_agents, self.n_assets)) for mode in modes}
         if "absolute" in out:
@@ -551,13 +535,14 @@ class PatternAgents:
                     periods, agents, mus, covs, deficient = matched
                     ctrl, ok = self._map_controls(mus, covs, modes, deficient)
                     for mode in modes:
-                        out[mode][(periods[ok] - t0)[:, None], agents[ok, None], cols] = \
-                            ctrl[mode][ok]
-                    solved = int(ok.sum())
-                fell_back = (b1 - b0) * n_agents - solved
-                self._fallbacks += fell_back * len(modes)
+                        good = ok & np.isfinite(ctrl[mode]).all(axis=1)
+                        out[mode][(periods[good] - t0)[:, None], agents[good, None], cols] = \
+                            ctrl[mode][good]
+                        solved += int(good.sum())
+                fell_back = (b1 - b0) * n_agents * len(modes) - solved
+                self._fallbacks += fell_back
                 if fell_back:
-                    log.debug("%d fallback agent-periods at t in [%d, %d)", fell_back, b0, b1)
+                    log.debug("%d fallback controls at t in [%d, %d)", fell_back, b0, b1)
         return out
 
     def _map_controls(self, mu_b, cov_b, modes, deficient=None):
@@ -592,28 +577,26 @@ class PatternAgents:
                 out[mode][i] = row[mode]
         return out, ok
 
-    def controls(self, history, mode: str):
-        """N x M control matrix for the next period in one mode."""
-        return self.controls_multi(history, (mode,))[mode]
+    def controls_numeric(self, history):
+        """(T, N, M) absolute controls from the numeric growth-optimal solver.
 
-    def controls_numeric(self, history, warm=None):
-        """Absolute controls from the numeric growth-optimal solver.
-
-        Same matching as :meth:`controls`; each agent's matched outcomes are
-        handed to SLSQP instead of the analytic map.  ``warm`` is an optional
-        per-agent dict of starting points reused across periods.
+        Same blocked matching as :meth:`controls_series`; each matched
+        agent-period's outcomes go to SLSQP instead of the analytic map, in t
+        order, each agent warm-started from its previous solution.
         """
         x = self._history(history)
-        t = x.shape[0]
-        warm = {} if warm is None else warm
-        out = self._fallback.copy()
+        t1 = x.shape[0]
+        out = np.repeat(self._fallback[None], t1, axis=0)
+        warm = {}
         for w, cols in enumerate(self._cols):
             xw = np.ascontiguousarray(x[:, cols])
-            for _, agents, rows, lens in _block_selections(xw, t, t + 1, self._groups[w],
-                                                           *self._match_args):
-                for (i, _), n in zip(agents, lens):
-                    if n:
-                        warm[i] = fundsep.log_optimal_controls(xw[rows[0, :n]], "absolute",
-                                                               x0=warm.get(i))
-                        out[i, cols] = warm[i]
+            for b0 in range(0, t1, _SOLVE_CHUNK):
+                block = _block_selections(xw, b0, min(b0 + _SOLVE_CHUNK, t1), self._groups[w],
+                                          *self._match_args)
+                found = [(t, i, rows[p, :n]) for periods, agents, rows, lens in block
+                         for p, t in enumerate(periods) for (i, _), n in zip(agents, lens) if n]
+                # A block's periods may come out of t order; warm starts follow t.
+                for t, i, rows in sorted(found, key=lambda item: item[0]):
+                    out[t, i, cols] = warm[i] = fundsep.log_optimal_controls(xw[rows],
+                                                                             x0=warm.get(i))
         return out

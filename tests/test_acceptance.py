@@ -30,10 +30,10 @@ from zeroport.run import (
     batch,
     config_from_dict,
     pattern_controls,
-    timing_report,
 )
 from zeroport import baselines
 from conftest import NYSE_DIR, FIXTURE_DIR, brute_match_times, numeric_budget_optimum
+from timing_harness import timing_report
 
 NYSE_HELP = (
     "the public 36-stock NYSE relatives set (1962-1984) is not bundled: "

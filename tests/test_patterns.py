@@ -3,6 +3,7 @@ import pytest
 
 from zeroport import fundsep, patterns, synth
 from zeroport.patterns import (
+    MATCH_RULES,
     AgentSpec,
     ClusterMap,
     MatchConfig,
@@ -14,7 +15,6 @@ from zeroport.patterns import (
     make_partitions,
     match,
     sample_moments,
-    tuple_distance,
 )
 from conftest import brute_match_times, brute_partition_matches
 
@@ -75,25 +75,6 @@ class TestGyorfiCount:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             gyorfi_match_count(11, 10, 50)
-
-
-class TestTupleDistance:
-    def test_identical_tuples(self):
-        q = np.array([[1.0, 1.1], [0.9, 1.0]])
-        np.testing.assert_array_equal(tuple_distance(q, q), [0.0, 0.0])
-
-    def test_single_row_broadcasts_euclidean(self):
-        d = tuple_distance(np.array([[1.0, 1.0]]), np.array([[1.3, 1.4]]))
-        np.testing.assert_allclose(d, [0.5, 0.5], atol=1e-15)
-
-    def test_window_sums_absolute_differences(self):
-        q = np.array([[1.0], [1.0]])
-        c = np.array([[1.1], [0.8]])
-        np.testing.assert_allclose(tuple_distance(q, c), [0.3], atol=1e-15)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            tuple_distance(np.ones((2, 2)), np.ones((3, 2)))
 
 
 class TestMatch:
@@ -194,15 +175,14 @@ class TestSampleMoments:
 class TestGenerateControls:
     def test_no_history_all_fallback(self, rng):
         specs = agent_grid(2, 2)
-        h_abs = PatternAgents(specs, 3).controls(np.ones((1, 3)), "absolute")
-        np.testing.assert_allclose(h_abs, np.full((4, 3), 1 / 3))
-        h_act = PatternAgents(specs, 3).controls(np.ones((1, 3)), "active")
-        np.testing.assert_array_equal(h_act, np.zeros((4, 3)))
+        h = PatternAgents(specs, 3).controls_multi(np.ones((1, 3)))
+        np.testing.assert_allclose(h["absolute"], np.full((4, 3), 1 / 3))
+        np.testing.assert_array_equal(h["active"], np.zeros((4, 3)))
 
     def test_single_match_ridge_path_finite(self, rng):
         # ell=1 leaves a single outcome row: zero covariance, ridge kicks in.
         x = random_history(rng, t=8, m=2)
-        h = PatternAgents([AgentSpec(k=1, ell=1)], 2).controls(x, "active")
+        h = PatternAgents([AgentSpec(k=1, ell=1)], 2).controls_multi(x, ("active",))["active"]
         assert np.all(np.isfinite(h))
         assert abs(np.abs(h).sum() - 1.0) < 1e-12 or np.all(h == 0)
 
@@ -215,7 +195,8 @@ class TestGenerateControls:
         down = np.exp(rng.normal(-0.006, 0.002, size=t))
         x = np.column_stack([up, down])
         cfg = MatchConfig(rule="gyorfi_nn")
-        h = PatternAgents(agent_grid(2, 10), 2, config=cfg).controls(x, "active")
+        engine = PatternAgents(agent_grid(2, 10), 2, config=cfg)
+        h = engine.controls_multi(x, ("active",))["active"]
         live = np.abs(h).sum(axis=1) > 0
         assert live.any()
         assert np.all(h[live, 0] > 0)
@@ -226,7 +207,7 @@ class TestGenerateControls:
         cmap = ClusterMap(members=((0, 1), (2, 3)), names=("L", "R"))
         specs = agent_grid(2, 2, n_clusters=2)
         for mode in ("absolute", "active"):
-            h = PatternAgents(specs, 4, clusters=cmap).controls(x, mode)
+            h = PatternAgents(specs, 4, clusters=cmap).controls_multi(x, (mode,))[mode]
             for i, spec in enumerate(specs):
                 outside = [m for m in range(4) if m not in cmap.members[spec.cluster]]
                 np.testing.assert_array_equal(h[i, outside], 0.0)
@@ -238,15 +219,61 @@ class TestGenerateControls:
         stacks = engine.controls_series(x)
         assert np.all(stacks["absolute"][:, :, 2:] == 0.0)
         assert np.all(stacks["absolute"][-1, :, :2].sum(axis=1) > 0.99)
-        assert np.all(engine.controls_numeric(x)[:, 2:] == 0.0)
+        assert np.all(engine.controls_numeric(x)[:, :, 2:] == 0.0)
+
+    @pytest.mark.parametrize("rule", MATCH_RULES)
+    def test_numeric_series_equals_per_period_solves(self, rule):
+        # Each period re-solved from match() on its own prefix, each agent
+        # warm-started from its previous matched solution.
+        x = synth.generate(synth.SynthSpec(case="SDC3", assets=4, periods=60, seed=5)).values
+        cmap = ClusterMap(members=((0, 1), (2, 3)), names=("L", "R"))
+        specs = agent_grid(3, 4, n_clusters=2, horizons=(1, 2))
+        engine = PatternAgents(specs, 4, clusters=cmap, config=MatchConfig(rule=rule))
+        got = engine.controls_numeric(x)
+        assert got.shape == (60, len(specs), 4)
+        warm, fell_back = {}, 0
+        for t in range(60):
+            for i, spec in enumerate(specs):
+                cols = list(cmap.members[spec.cluster])
+                expected = np.zeros(4)
+                try:
+                    res = match(x[:t, cols], spec, rule=rule, levels=4)
+                except NoMatchError:
+                    expected[cols] = 0.5
+                    fell_back += 1
+                else:
+                    warm[i] = fundsep.log_optimal_controls(res.agent_tuple, x0=warm.get(i))
+                    expected[cols] = warm[i]
+                assert got[t, i].tobytes() == expected.tobytes(), (t, spec)
+        assert 0 < fell_back < 60 * len(specs)
+
+    def test_non_finite_controls_fall_back_per_mode(self, rng):
+        # gamma=1e-300 overflows w_active / gamma for most agents; the rows
+        # that turn non-finite keep the fallback, one mode at a time.
+        x = random_history(rng, t=70, m=3)
+        specs = agent_grid(3, 4)
+        cfg = MatchConfig(gamma=1e-300)
+        both = PatternAgents(specs, 3, config=cfg)
+        stacks = both.controls_series(x)
+        count = 0
+        for mode in ("absolute", "active"):
+            one = PatternAgents(specs, 3, config=cfg)
+            alone = one.controls_series(x, (mode,))[mode]
+            count += one.fallback_count
+            assert np.isfinite(stacks[mode]).all()
+            assert alone.tobytes() == stacks[mode].tobytes()
+        assert both.fallback_count == count
+        plain = PatternAgents(specs, 3)
+        plain.controls_series(x)
+        assert both.fallback_count > plain.fallback_count
 
     def test_mode_normalization_rows(self, rng):
         x = random_history(rng, t=50, m=3)
         specs = agent_grid(3, 4)
-        h_abs = PatternAgents(specs, 3).controls(x, "absolute")
+        h_abs = PatternAgents(specs, 3).controls_multi(x, ("absolute",))["absolute"]
         assert np.all(h_abs >= 0)
         np.testing.assert_allclose(h_abs.sum(axis=1), 1.0, atol=1e-12)
-        h_act = PatternAgents(specs, 3).controls(x, "active")
+        h_act = PatternAgents(specs, 3).controls_multi(x, ("active",))["active"]
         np.testing.assert_allclose(h_act.sum(axis=1), 0.0, atol=1e-12)
         lev = np.abs(h_act).sum(axis=1)
         assert np.all((lev < 1e-12) | (np.abs(lev - 1.0) < 1e-12))
@@ -256,9 +283,9 @@ class TestGenerateControls:
         specs = agent_grid(3, 3)
         engine = PatternAgents(specs, 2)
         for t in (10, 25, 59):
-            full_view = engine.controls(x[:t], "absolute")
-            fresh = PatternAgents(specs, 2).controls(x[:t].copy(), "absolute")
-            np.testing.assert_array_equal(full_view, fresh)
+            full_view = engine.controls_multi(x[:t], ("absolute",))
+            fresh = PatternAgents(specs, 2).controls_multi(x[:t].copy(), ("absolute",))
+            np.testing.assert_array_equal(full_view["absolute"], fresh["absolute"])
 
     def test_engine_agrees_with_per_agent_composition(self, rng):
         # The batched engine must reproduce match() + sample_moments +
@@ -267,7 +294,7 @@ class TestGenerateControls:
         specs = agent_grid(3, 4)
         engine = PatternAgents(specs, 3)
         for mode in ("absolute", "active"):
-            h = engine.controls(x, mode)
+            h = engine.controls_multi(x, (mode,))[mode]
             for i, spec in enumerate(specs):
                 res = match(x, spec, rule="trivial", levels=4)
                 mu, cov = sample_moments(res.agent_tuple)
@@ -279,7 +306,7 @@ class TestGenerateControls:
         specs = agent_grid(2, 10)
         cfg = MatchConfig(rule="gyorfi_nn")
         engine = PatternAgents(specs, 2, config=cfg)
-        h = engine.controls(x, "absolute")
+        h = engine.controls_multi(x, ("absolute",))["absolute"]
         for i, spec in enumerate(specs):
             res = match(x, spec, rule="gyorfi_nn", levels=10)
             mu, cov = sample_moments(res.agent_tuple)

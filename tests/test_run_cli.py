@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -18,7 +19,6 @@ from zeroport.marketdata import DataError
 from zeroport.run import (
     ConfigError,
     GridConfig,
-    TimingOrderError,
     apply_frictions,
     apply_overrides,
     batch,
@@ -26,9 +26,10 @@ from zeroport.run import (
     nyse_table,
     run,
     run_case_seed,
-    timing_report,
 )
-from conftest import FIXTURE_DIR
+import timing_harness
+from conftest import FIXTURE_DIR, REPO_ROOT
+from timing_harness import TimingOrderError, timing_report
 
 BASE_DOC = {
     "spec_version": 1,
@@ -322,9 +323,9 @@ class TestNyseTable:
 class TestTiming:
     def test_report_shape_and_interleaving(self):
         x = synth.generate(synth.SynthSpec(case="SDC1", assets=3, periods=60, seed=1))
-        rows = timing_report(x, strategies=("absolute", "active"), repeats=2,
+        rows = timing_report(x, strategies=("absolute", "active", "numeric"), repeats=2,
                              grid=GridConfig(windows=2, levels=2), warmup_periods=20)
-        assert [r["strategy"] for r in rows] == ["absolute", "active"]
+        assert [r["strategy"] for r in rows] == ["absolute", "active", "numeric"]
         assert all(len(r["runs"]) == 2 for r in rows)
         assert all(r["median_seconds"] > 0 for r in rows)
 
@@ -334,7 +335,7 @@ class TestTiming:
             if strategy == "absolute":
                 time.sleep(0.05)
 
-        monkeypatch.setattr(run_module, "_run_strategy_once", strategy_once)
+        monkeypatch.setattr(timing_harness, "_run_strategy_once", strategy_once)
         x = synth.generate(synth.SynthSpec(case="SDC1", assets=3, periods=60, seed=1))
         with pytest.raises(TimingOrderError, match="absolute .* slower than active"):
             timing_report(x, strategies=("absolute", "active"), repeats=3, enforce_order=True)
@@ -348,6 +349,16 @@ class TestCli:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["portfolio"]["terminal_wealth"] > 0
+
+    def test_overflowing_controls_fall_back(self, capsys):
+        # gamma=1e-300 overflows the active fund; those agents keep the fallback.
+        code = cli.main(["run", str(REPO_ROOT / "configs" / "synth_run.yaml"),
+                         "--set", "data.periods=200", "--set", "mode=absolute",
+                         "--set", "matching.gamma=1e-300"])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert math.isfinite(out["portfolio"]["terminal_wealth"])
+        assert out["agent_fallbacks"] > 0
 
     def test_cli_override(self, tmp_path, capsys):
         config = tmp_path / "cfg.yaml"
