@@ -8,12 +8,16 @@ grows, then compares against buy-and-hold of each asset.
 Run:  python3 demos/universal_portfolio.py
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from zeroport import baselines
 from zeroport.marketdata import load_relatives_csv
 
-matrix = load_relatives_csv("data/fixtures/pair_synthetic.csv")
+FIXTURE = Path(__file__).resolve().parent.parent / "data" / "fixtures" / "pair_synthetic.csv"
+
+matrix = load_relatives_csv(FIXTURE)
 print(f"fixture: {matrix.shape[0]} periods x {matrix.tickers}")
 
 print("\nresolution sweep:")

@@ -60,7 +60,8 @@ def main(argv=None) -> int:
             fell_back, total = summary["agent_fallbacks"], summary["agent_periods"]
             if 2 * fell_back > total:
                 print(f"warning: {fell_back} of {total} agent-periods fell back to the default "
-                      "control; the history is short for the agent grid", file=sys.stderr)
+                      "control: the history is short for the agent grid, or their controls "
+                      "were not finite", file=sys.stderr)
         elif args.command == "batch":
             cfg = runner.load_config(args.config, args.overrides)
             cases = tuple(args.cases.split(",")) if args.cases else ("SDC1", "SDC2", "SDC3", "SDC4")

@@ -14,18 +14,14 @@ import copy
 import csv
 import json
 import math
-import multiprocessing
-import os
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from . import baselines, ksstats, marketdata, synth
+from . import baselines, forkpool, ksstats, marketdata, synth
 from .learner import BankruptcyError, MixtureRule, WealthTrack, run_backtest, write_csv
 from .patterns import ClusterMap, MatchConfig, PatternAgents, agent_grid
 
@@ -407,42 +403,12 @@ def _case_seed_triples(cfg: RunConfig, case: str, seed: int, modes) -> dict:
     return {mode: triple for mode, (_, triple) in run_case_seed(cfg, case, seed, modes).items()}
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _run_jobs(cfg: RunConfig, jobs, modes, workers: int) -> list:
-    """Triples of every (case, seed) in ``jobs``, in order.
-
-    More than one worker runs the jobs in a pool of forked processes, which
-    inherit the loaded modules and BLAS set-up, so their trajectories are
-    bit-identical to an in-process run.  A job that raises cancels the
-    jobs not yet started, and no worker outlives the call.
-    """
-    if workers == 1:
-        return [_case_seed_triples(cfg, case, seed, modes) for case, seed in jobs]
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(_case_seed_triples, cfg, case, seed, modes)
-                   for case, seed in jobs]
-        try:
-            return [future.result() for future in futures]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-
-
 def batch(cfg: RunConfig, outdir=None, cases=synth.CASES, seeds=range(1, 31),
           modes=("absolute", "active")) -> dict:
     """Seed sweep over synthetic cases plus the KS battery and cross tables.
 
-    The (case, seed) runs go to forked worker processes, one per usable core
-    and at most one per run; the results do not depend on their number.  The
-    runs stay in this process on one core, where ``fork`` is missing, or
-    while this process has other Python threads: a forked child could
-    inherit a lock one of them holds and hang.
+    The (case, seed) runs go to :mod:`forkpool` workers, one per usable core
+    and at most one per run; the results do not depend on their number.
     """
     seeds = list(seeds)
     if cfg.data.get("kind") != "synth":
@@ -451,12 +417,11 @@ def batch(cfg: RunConfig, outdir=None, cases=synth.CASES, seeds=range(1, 31),
     _expect(not unknown, "cases", f"unknown synthetic cases {unknown}; "
             f"expected some of {', '.join(synth.CASES)}")
     jobs = [(case, seed) for case in cases for seed in seeds]
-    workers = max(1, min(_usable_cores(), len(jobs)))
-    if threading.active_count() > 1 or "fork" not in multiprocessing.get_all_start_methods():
-        workers = 1
+    workers = forkpool.worker_count(len(jobs))
     t0 = time.perf_counter()
     triples = {mode: {case: [] for case in cases} for mode in modes}
-    for (case, _), result in zip(jobs, _run_jobs(cfg, jobs, modes, workers)):
+    for (case, _), result in zip(jobs, forkpool.imap(
+            lambda job: _case_seed_triples(cfg, *job, modes), jobs, workers)):
         for mode in modes:
             triples[mode][case].append(result[mode])
     runtime = time.perf_counter() - t0

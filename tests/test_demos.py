@@ -1,5 +1,5 @@
-"""The quick demos run to completion against the current API, each from
-the repository root as their usage lines say.
+"""The quick demos run to completion against the current API, from a
+working directory outside the repository, so none depends on it.
 
 Left out: ``frictions_and_timing.py`` (minutes of numeric solves),
 ``synthetic_battery.py`` and ``nyse_table.py`` (they write ``demos/out/``, the
@@ -19,10 +19,10 @@ QUICK_DEMOS = ("fund_separation", "learning_rules", "market_data", "pattern_matc
 
 
 @pytest.mark.parametrize("name", QUICK_DEMOS)
-def test_demo_exits_zero(name):
+def test_demo_exits_zero(name, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(REPO_ROOT / "demos" / f"{name}.py")],
-                          cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120)
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

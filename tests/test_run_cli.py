@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from zeroport import cli, marketdata, synth
+from zeroport import cli, forkpool, marketdata, synth
 from zeroport.baselines import DEFAULT_RESOLUTION
 from zeroport import run as run_module
 from zeroport.fundsep import SolverError
@@ -245,7 +245,7 @@ class TestBatch:
         kwargs = dict(cases=("SDC2", "SDC3"), seeds=(4, 5))
         results = {}
         for cores, name in ((1, "one"), (2, "two")):
-            monkeypatch.setattr(run_module, "_usable_cores", lambda: cores)
+            monkeypatch.setattr(forkpool, "usable_cores", lambda: cores)
             results[name] = batch(cfg, outdir=tmp_path / name, **kwargs)
         names = sorted(p.name for p in (tmp_path / "one").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "two").iterdir())
@@ -267,13 +267,13 @@ class TestBatch:
         assert multiprocessing.active_children() == []
 
     def test_workers_capped_at_case_seeds(self, monkeypatch):
-        monkeypatch.setattr(run_module, "_usable_cores", lambda: 4)
+        monkeypatch.setattr(forkpool, "usable_cores", lambda: 4)
         result = batch(config_from_dict(make_doc()), cases=("SDC1",), seeds=(1, 2))
         assert result["summary"]["workers"] == 2
 
     def test_other_thread_keeps_batch_in_process(self, monkeypatch):
         """No fork while another thread runs: the child could inherit a held lock."""
-        monkeypatch.setattr(run_module, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(forkpool, "usable_cores", lambda: 2)
         release = threading.Event()
         other = threading.Thread(target=release.wait)
         other.start()
@@ -356,9 +356,14 @@ class TestCli:
                          "--set", "data.periods=200", "--set", "mode=absolute",
                          "--set", "matching.gamma=1e-300"])
         assert code == 0
-        out = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
         assert math.isfinite(out["portfolio"]["terminal_wealth"])
-        assert out["agent_fallbacks"] > 0
+        assert 2 * out["agent_fallbacks"] > out["agent_periods"]
+        # Most of these fallbacks are non-finite controls, not a short history.
+        assert (f"warning: {out['agent_fallbacks']} of {out['agent_periods']} agent-periods fell "
+                "back to the default control: the history is short for the agent grid, or "
+                "their controls were not finite") in captured.err
 
     def test_cli_override(self, tmp_path, capsys):
         config = tmp_path / "cfg.yaml"
@@ -447,7 +452,7 @@ class TestCli:
             raise BankruptcyError(3, f"pid {os.getpid()}", -0.1)
 
         monkeypatch.setattr(run_module, "run_backtest", ruin)  # forked workers inherit it
-        monkeypatch.setattr(run_module, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(forkpool, "usable_cores", lambda: 2)
         config = tmp_path / "cfg.yaml"
         config.write_text(yaml.safe_dump(make_doc()))
         code = cli.main(["batch", str(config), "--seeds", "2", "--cases", "SDC1"])
