@@ -22,7 +22,7 @@ print("asset drifts:", synth.asset_means(synth.SynthSpec(case="SDC4", assets=10,
 engine = PatternAgents(agent_grid(5, 10), 10, config=MatchConfig(rule="gyorfi_nn"))
 stacks = pattern_controls(market, engine, ("absolute", "active"))
 
-rules = [MixtureRule.universal(), MixtureRule.eg(eta=0.05), MixtureRule.ewma(lam=0.99)]
+rules = [MixtureRule("universal"), MixtureRule("eg", eta=0.05), MixtureRule("ewma", lam=0.99)]
 print(f"\n{'rule':<12}{'absolute':>12}{'active':>12}")
 tracks = {}
 for rule in rules:

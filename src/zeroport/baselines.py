@@ -5,9 +5,11 @@ b = n/Q with nonnegative integer compositions of Q, a uniform prior, and
 
     b*_t = sum_b b S_{t-1}(b) / sum_b S_{t-1}(b),
 
-where S_t(b) is the wealth of the constant-rebalanced portfolio b.  The
-grid resolution Q replaces the paper's continuum integral; convergence in
-Q is part of the test suite.
+where S_t(b) is the wealth of the constant-rebalanced portfolio b.  That
+is the learner's universal rule in absolute mode over one agent per grid
+point, each holding its b every period, so :func:`universal_portfolio` is
+:func:`learner.run_backtest` on the grid.  The grid resolution Q replaces
+the paper's continuum integral; convergence in Q is part of the test suite.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .learner import WealthTrack
+from .learner import WealthTrack, run_backtest
 
 DEFAULT_RESOLUTION = 1000
-DEFAULT_MAX_POINTS = 2_000_000
+MAX_POINTS = 2_000_000
 
 
 class GridTooLargeError(ValueError):
@@ -59,37 +61,20 @@ class SimplexGrid:
         return pts / q
 
 
-def universal_portfolio(x, resolution: int = DEFAULT_RESOLUTION,
-                        max_points: int = DEFAULT_MAX_POINTS) -> WealthTrack:
-    """Wealth track of the grid universal portfolio under a uniform prior."""
+def universal_portfolio(x, resolution: int = DEFAULT_RESOLUTION) -> WealthTrack:
+    """Wealth track of the grid universal portfolio under a uniform prior:
+    the learner's universal rule over the grid's constant-rebalanced experts."""
     x = np.asarray(getattr(x, "values", x), dtype=float)
     t_total, m = x.shape
     grid = SimplexGrid(resolution, m)
-    if grid.count > max_points:
+    if grid.count > MAX_POINTS:
         raise GridTooLargeError(
-            f"simplex grid would hold {grid.count} points (> {max_points}); "
+            f"simplex grid would hold {grid.count} points (> {MAX_POINTS}); "
             "reduce the resolution or the number of assets"
         )
     pts = grid.points()
-    s_grid = np.ones(len(pts))
-    wealth = np.empty(t_total)
-    b_hist = np.empty((t_total, m))
-    turnover = np.empty(t_total)
-    prev_drifted = np.zeros(m)
-    s_port = 1.0
-    for t in range(t_total):
-        b = (s_grid @ pts) / s_grid.sum()
-        growth = float(b @ x[t])
-        s_port *= growth
-        wealth[t] = s_port
-        b_hist[t] = b
-        turnover[t] = float(np.abs(b - prev_drifted).sum())
-        prev_drifted = b * x[t] / growth
-        s_grid = s_grid * (pts @ x[t])
-        s_grid /= s_grid.mean()  # scale-free; keeps long runs in range
-    return WealthTrack(wealth=wealth, controls=b_hist, turnover=turnover,
-                       hold_cash=np.zeros(t_total, dtype=bool), mode="absolute",
-                       label="universal_portfolio")
+    return run_backtest(x, np.broadcast_to(pts, (t_total, *pts.shape)), "absolute",
+                        record_agents=False, label="universal_portfolio")
 
 
 def best_stock(x):

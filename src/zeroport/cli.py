@@ -4,7 +4,8 @@
     zeroport batch CONFIG [--output DIR] [--seeds N] [--set key=value ...]
     zeroport table5 DATA [--output DIR] [--pairs A:B,C:D] [--resolution Q]
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 bankruptcy.
+Exit codes: 0 success, 2 config error (also fewer than 2 batch seeds or a table5
+resolution below 1), 3 data error, 4 bankruptcy (a wealth or mixture out of range).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import sys
 
+from . import baselines, synth
 from . import run as runner
 from .learner import BankruptcyError
 from .marketdata import DataError
@@ -43,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--output", default=None)
     p_tab.add_argument("--pairs", default=None,
                        help="comma-separated TICKER:TICKER pairs")
-    p_tab.add_argument("--resolution", type=int, default=1000,
+    p_tab.add_argument("--resolution", type=int, default=baselines.DEFAULT_RESOLUTION,
                        help="universal-portfolio grid resolution")
     return parser
 
@@ -64,7 +66,7 @@ def main(argv=None) -> int:
                       "were not finite", file=sys.stderr)
         elif args.command == "batch":
             cfg = runner.load_config(args.config, args.overrides)
-            cases = tuple(args.cases.split(",")) if args.cases else ("SDC1", "SDC2", "SDC3", "SDC4")
+            cases = tuple(args.cases.split(",")) if args.cases else synth.CASES
             result = runner.batch(cfg, outdir=args.output or cfg.output,
                                   cases=cases, seeds=range(1, args.seeds + 1))
             json.dump(result["summary"], sys.stdout, indent=2, sort_keys=True)

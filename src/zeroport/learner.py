@@ -16,6 +16,7 @@ self-funding zero-cost portfolio.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,16 +27,17 @@ NORMALIZATION_TOL = 1e-12
 
 
 class BankruptcyError(RuntimeError):
-    """A period growth factor hit zero or below; compounding is meaningless."""
+    """A period's wealth is not finite and positive, or its mixture not finite."""
 
-    def __init__(self, period: int, culprit: str, growth: float):
-        super().__init__(f"{culprit} wiped out at period {period} (growth {growth:.6g})")
+    def __init__(self, period: int, culprit: str, value: float):
+        shown = f"{value:.6g}" if math.isfinite(value) else f"not finite ({value})"
+        super().__init__(f"{culprit} is {shown} at period {period}")
         self.period = period
         self.culprit = culprit
-        self.growth = growth
+        self.value = value
 
     def __reduce__(self):
-        return type(self), (self.period, self.culprit, self.growth)
+        return type(self), (self.period, self.culprit, self.value)
 
 
 @dataclass(frozen=True)
@@ -57,18 +59,6 @@ class MixtureRule:
         if self.name == "ewma" and not 0.0 <= self.lam <= 1.0:
             raise ValueError("ewma rule needs lambda in [0, 1]")
 
-    @classmethod
-    def universal(cls):
-        return cls("universal")
-
-    @classmethod
-    def eg(cls, eta: float = 0.05):
-        return cls("eg", eta=eta)
-
-    @classmethod
-    def ewma(cls, lam: float = 0.99):
-        return cls("ewma", lam=lam)
-
 
 def mixture_update(q, s_agents, rule: MixtureRule):
     """Raw mixture refresh before mode renormalization.
@@ -87,7 +77,8 @@ def mixture_update(q, s_agents, rule: MixtureRule):
     if denom == 0.0:
         raise ValueError(f"{rule.name} update undefined: sum(q * S) is zero")
     if rule.name == "eg":
-        return q * np.exp(rule.eta * s / denom)
+        with np.errstate(over="ignore", invalid="ignore"):  # the learner rejects a non-finite q
+            return q * np.exp(rule.eta * s / denom)
     return rule.lam * q + (1.0 - rule.lam) * q * s / denom
 
 
@@ -144,7 +135,7 @@ class LearnerState:
             s_port=1.0,
             b=b,
             mode=mode,
-            rule=rule if rule is not None else MixtureRule.universal(),
+            rule=rule if rule is not None else MixtureRule(),
             prev_drifted=np.zeros(n_assets),
         )
 
@@ -172,16 +163,16 @@ def step(state: LearnerState, x_t, h_now, h_next=None) -> PeriodReport:
 
     turnover = float(np.abs(state.b - state.prev_drifted).sum())
 
+    # A growth out of (0, inf), or an under- or overflow, leaves a wealth out of it.
     growth = 1.0 + float(state.b @ dx)
-    if growth <= 0.0:
-        raise BankruptcyError(state.t, "portfolio", growth)
-    agent_growth = 1.0 + h_now @ dx
-    bad = np.flatnonzero(agent_growth <= 0.0)
-    if bad.size:
-        raise BankruptcyError(state.t, f"agent {bad[0]}", float(agent_growth[bad[0]]))
-
-    state.s_port *= growth
-    state.s_agents = state.s_agents * agent_growth
+    s_port = state.s_port * growth
+    if not 0.0 < s_port < math.inf:
+        raise BankruptcyError(state.t, "portfolio wealth", s_port)
+    s_agents = state.s_agents * (1.0 + h_now @ dx)
+    if not 0.0 < s_agents.min() <= s_agents.max() < math.inf:  # NaN fails too
+        i = np.flatnonzero(~((s_agents > 0.0) & (s_agents < math.inf)))[0]
+        raise BankruptcyError(state.t, f"agent {i} wealth", float(s_agents[i]))
+    state.s_port, state.s_agents = s_port, s_agents
     state.prev_drifted = state.b * x / growth
 
     q_prev = state.q
@@ -191,6 +182,9 @@ def step(state: LearnerState, x_t, h_now, h_next=None) -> PeriodReport:
         # from the uniform mixture instead of dividing by zero.
         q_prev = np.full_like(q_prev, 1.0 / q_prev.size)
     q = mixture_update(q_prev, state.s_agents, state.rule)
+    if not np.isfinite(q).all():
+        i = np.flatnonzero(~np.isfinite(q))[0]
+        raise BankruptcyError(state.t, f"mixture weight {i}", float(q[i]))
     q = renormalize_mixture(q, state.mode)
 
     hold_cash = False

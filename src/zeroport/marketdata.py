@@ -324,15 +324,6 @@ def load_relatives_csv(path, delimiter: str = ",") -> PriceRelativeMatrix:
     )
 
 
-def write_relatives_csv(matrix: PriceRelativeMatrix, path, delimiter: str = ","):
-    """Wide CSV emitter matching :func:`load_relatives_csv`."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
-        writer.writerow(matrix.tickers)
-        for row in matrix.values:
-            writer.writerow([repr(float(v)) for v in row])
-
-
 def select_tickers(matrix: PriceRelativeMatrix, tickers) -> PriceRelativeMatrix:
     """Column subset in the requested order."""
     pos = {t: i for i, t in enumerate(matrix.tickers)}

@@ -17,15 +17,16 @@ The engine runs per cluster over blocks of periods.  Two distance matrices
 between the block's query rows and every earlier row are built once and
 every window's scores follow by lagged adds (:func:`_block_selections`);
 each (tau, k) group then selects its rows.  Under the trivial partition the
-periods whose ell-hats are at most a quarter of their candidates share one
-row-wise partition (:func:`_nearest`); the others are sorted one period at
-a time.  The block's row lists are summed in one stacked call per set of
-prefix lengths, which the groups and periods of a block normally share
+periods that share their ell-hats share one selection (:func:`_nearest`),
+which :func:`_stable_smallest` makes by a row-wise partition when the
+ell-hats are at most a quarter of the candidates and by a sort otherwise.
+The block's row lists are summed in one stacked call per set of prefix
+lengths, which the groups and periods of a block normally share
 (:func:`_prefix_moments`); one fund solve maps the block's moments to
-controls.  Agents without a match, or whose solve fails, keep the
-fallback: equal weights on their cluster in absolute mode, cash in active
-mode; so does a mode's non-finite control row.  A period gets the same
-bits in any block, so a series equals repeated one-period calls.
+controls.  Agents without a match, or whose solve fails, keep the fallback:
+equal weights on their cluster in absolute mode, cash in active mode; so
+does a mode's non-finite control row.  A period gets the same bits in any
+block, so a series equals repeated one-period calls.
 
 The (cluster, block) tasks are independent, so a series runs them in
 forked workers (:mod:`forkpool`, one per usable core, with at least
@@ -225,10 +226,10 @@ def _nearest(scored, row0, t0, t1, k, tau, group, rule, levels):
     ell-hat clamped to [1, candidates].
 
     At history length t the n = t - tau - k + 1 candidates are scored in
-    ``scored[t - row0, :n]``.  Rows whose largest ell-hat is at most a
-    quarter of n are gathered by their ell-hats into one
-    :func:`_stable_smallest` block, each row's later candidates set to NaN,
-    which sorts after every score; the other rows are sorted one by one.
+    ``scored[t - row0, :n]``.  The periods that share a set of ell-hats go
+    to one :func:`_stable_smallest` call, each row's later candidates set to
+    NaN, which sorts after every score; that call picks a row-wise
+    partition or a sort.
     """
     shift = k - 1 + tau  # candidate index -> outcome row
     ells = tuple(spec.ell for _, spec in group)
@@ -242,19 +243,15 @@ def _nearest(scored, row0, t0, t1, k, tau, group, rule, levels):
             if rule == "gyorfi_nn" else ells
         if not 1 <= min(lhats) <= max(lhats) <= n:
             lhats = tuple(max(1, min(lhat, n)) for lhat in lhats)
-        if 4 * max(lhats) <= n:
-            blocks.setdefault(lhats, []).append(t)
-        else:
-            yield [t], group, _stable_smallest(scored[t - row0, :n], max(lhats))[None] + shift, \
-                lhats
+        blocks.setdefault(lhats, []).append(t)
     for lhats, ts in blocks.items():
-        ts = np.array(ts)
-        block = scored[ts - row0, :ts[-1] - shift]
-        block[np.arange(block.shape[1]) >= (ts - shift)[:, None]] = np.nan
-        # One period stays a 1-D call: benchmarks/selftest.py's engine fault
-        # swaps entries 0 and 1 of the result.
-        rows = _stable_smallest(block, max(lhats)) if ts.size > 1 else \
-            _stable_smallest(block[0], max(lhats))[None]
+        if len(ts) == 1:  # a view, and a 1-D call as benchmarks/selftest.py's fault expects
+            rows = _stable_smallest(scored[ts[0] - row0, :ts[0] - shift], max(lhats))[None]
+        else:
+            ts = np.array(ts)
+            block = scored[ts - row0, :ts[-1] - shift]
+            block[np.arange(block.shape[1]) >= (ts - shift)[:, None]] = np.nan
+            rows = _stable_smallest(block, max(lhats))
         yield ts, group, rows + shift, lhats
 
 
@@ -335,10 +332,7 @@ def match(
     xw = np.asarray(getattr(features, "values", features), dtype=float)
     if xw.ndim != 2:
         raise ValueError("features must be a (t, m) array")
-    if partition not in PARTITION_KINDS:
-        raise ValueError(f"unknown partition kind {partition!r}")
-    if rule not in MATCH_RULES:
-        raise ValueError(f"unknown match rule {rule!r}")
+    MatchConfig(rule=rule, partition=partition)  # checks both
     levels = levels if levels is not None else spec.ell
     t = xw.shape[0]
     _, _, rows, lens = next(_block_selections(xw, t, t + 1, {(spec.tau, spec.k): [(0, spec)]},
@@ -427,7 +421,7 @@ class PatternAgents:
     """
 
     def __init__(self, specs, n_assets: int, clusters: ClusterMap | None = None,
-                 config: MatchConfig | None = None, levels: int | None = None):
+                 config: MatchConfig | None = None):
         self.specs = list(specs)
         if not self.specs:
             raise ValueError("agent grid is empty")
@@ -435,14 +429,10 @@ class PatternAgents:
         self.clusters = clusters if clusters is not None else ClusterMap.trivial(n_assets)
         self.clusters.validate_assets(n_assets)
         self.config = config if config is not None else MatchConfig()
-        # The gyorfi schedule needs the grid's L; infer it from a full grid
-        # or take it explicitly when running a partial spec list.
-        self.levels = levels if levels is not None else max(s.ell for s in self.specs)
+        self.levels = max(s.ell for s in self.specs)  # the gyorfi schedule's L
         for spec in self.specs:
             if spec.cluster >= len(self.clusters):
                 raise ValueError(f"{spec} references missing cluster")
-            if spec.ell > self.levels:
-                raise ValueError(f"{spec} exceeds levels={self.levels}")
         self._cols = [np.asarray(cols, dtype=np.intp) for cols in self.clusters.members]
         # Per cluster, the agents sharing (tau, k) as lists of (index, spec).
         self._groups = [{} for _ in self._cols]

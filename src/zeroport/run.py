@@ -243,14 +243,17 @@ def load_config(path, overrides=None) -> RunConfig:
     return config_from_dict(doc)
 
 
+def _synth_spec(data: dict) -> synth.SynthSpec:
+    down = synth.DOWN_ASSETS
+    _expect(data["case"] != "SDC4" or data["assets"] > max(down), "data.assets",
+            f"SDC4 drifts assets {down} down, so it needs at least {max(down) + 1} assets")
+    return synth.SynthSpec(**{key: value for key, value in data.items() if key != "kind"})
+
+
 def build_dataset(cfg: RunConfig) -> marketdata.PriceRelativeMatrix:
     data = cfg.data
     if data["kind"] == "synth":
-        down = synth.DOWN_ASSETS
-        _expect(data["case"] != "SDC4" or data["assets"] > max(down), "data.assets",
-                f"SDC4 drifts assets {down} down, so it needs at least {max(down) + 1} assets")
-        return synth.generate(synth.SynthSpec(**{key: value for key, value in data.items()
-                                                 if key != "kind"}))
+        return synth.generate(_synth_spec(data))
     if data["kind"] == "relatives_csv":
         matrix = marketdata.load_relatives_csv(data["path"], delimiter=data["delimiter"])
     else:
@@ -278,7 +281,6 @@ def build_engine(cfg: RunConfig, matrix) -> PatternAgents:
 
 def pattern_controls(x, engine: PatternAgents, modes) -> dict:
     """Precompute (T, N, M) control stacks for each mode in one matching pass."""
-    x = np.asarray(getattr(x, "values", x), dtype=float)
     return engine.controls_series(x, modes)
 
 
@@ -375,12 +377,10 @@ def _write_wealth_csv(path, track, extra_tracks, net_track):
 def run_case_seed(cfg: RunConfig, case: str, seed: int, modes=("absolute", "active")):
     """Both portfolio modes on one seeded case, sharing the matching pass.
 
-    Returns {mode: (track, triple)} where triple holds the trajectories the
-    KS battery consumes.
+    Returns {mode: RunTriple}, the trajectories the KS battery consumes:
+    all that a batch keeps of a case-seed.
     """
-    data = dict(cfg.data)
-    data.update(kind="synth", case=case, seed=seed)
-    cfg_seed = replace(cfg, data=data)
+    cfg_seed = replace(cfg, data=dict(cfg.data, kind="synth", case=case, seed=seed))
     matrix = build_dataset(cfg_seed)
     engine = build_engine(cfg_seed, matrix)
     stacks = pattern_controls(matrix, engine, modes)
@@ -389,18 +389,12 @@ def run_case_seed(cfg: RunConfig, case: str, seed: int, modes=("absolute", "acti
     for mode in modes:
         track = run_backtest(matrix, stacks[mode], mode, cfg.rule, label=f"{case}:{mode}")
         best_idx, _ = baselines.best_agent(track)
-        triple = ksstats.RunTriple(
+        out[mode] = ksstats.RunTriple(
             portfolio=track.wealth.copy(),
             best_agent=track.agent_wealth[:, best_idx].copy(),
             best_stock=stock_track.wealth.copy(),
         )
-        out[mode] = (track, triple)
     return out
-
-
-def _case_seed_triples(cfg: RunConfig, case: str, seed: int, modes) -> dict:
-    """{mode: RunTriple} of one case-seed: all that a batch keeps of it."""
-    return {mode: triple for mode, (_, triple) in run_case_seed(cfg, case, seed, modes).items()}
 
 
 def batch(cfg: RunConfig, outdir=None, cases=synth.CASES, seeds=range(1, 31),
@@ -416,12 +410,15 @@ def batch(cfg: RunConfig, outdir=None, cases=synth.CASES, seeds=range(1, 31),
     unknown = [case for case in cases if case not in synth.CASES]
     _expect(not unknown, "cases", f"unknown synthetic cases {unknown}; "
             f"expected some of {', '.join(synth.CASES)}")
+    for case in cases:  # each case's data checks, then the battery's, before any run
+        _synth_spec(dict(cfg.data, case=case))
+    _expect(len(seeds) >= 2, "seeds", f"the KS battery needs at least 2 seeds, got {len(seeds)}")
     jobs = [(case, seed) for case in cases for seed in seeds]
     workers = forkpool.worker_count(len(jobs))
     t0 = time.perf_counter()
     triples = {mode: {case: [] for case in cases} for mode in modes}
     for (case, _), result in zip(jobs, forkpool.imap(
-            lambda job: _case_seed_triples(cfg, *job, modes), jobs, workers)):
+            lambda job: run_case_seed(cfg, *job, modes), jobs, workers)):
         for mode in modes:
             triples[mode][case].append(result[mode])
     runtime = time.perf_counter() - t0
@@ -476,6 +473,7 @@ def nyse_table(data_path, pairs=DEFAULT_PAIRS, resolution=baselines.DEFAULT_RESO
     the nearest-neighbour recovery (absolute, gyorfi_nn rule), the grid
     universal portfolio, and buy-and-hold of the best stock.
     """
+    _expect(resolution >= 1, "resolution", f"must be an integer >= 1, got {resolution!r}")
     data_path = Path(data_path)
     if data_path.is_dir():
         candidates = sorted(data_path.glob("*.csv"))

@@ -62,6 +62,12 @@ class TestUniversalPortfolio:
         track = universal_portfolio(x, resolution=8)
         assert track.terminal == pytest.approx(brute_universal_wealth(x, 8), rel=1e-12)
 
+    @pytest.mark.parametrize("periods, assets, resolution", [(60, 2, 100), (20, 3, 8)])
+    def test_longer_histories_match_direct_sum(self, rng, periods, assets, resolution):
+        x = np.exp(rng.normal(0, 0.03, size=(periods, assets)))
+        track = universal_portfolio(x, resolution=resolution)
+        assert track.terminal == pytest.approx(brute_universal_wealth(x, resolution), rel=1e-12)
+
     def test_permutation_invariance(self, rng):
         x = np.exp(rng.normal(0, 0.03, size=(25, 2)))
         a = universal_portfolio(x, resolution=120)

@@ -21,34 +21,34 @@ class TestMixtureUpdate:
     def test_universal_copies_wealth(self):
         q = np.array([0.2, 0.8])
         s = np.array([1.5, 0.7])
-        np.testing.assert_array_equal(mixture_update(q, s, MixtureRule.universal()), s)
+        np.testing.assert_array_equal(mixture_update(q, s, MixtureRule("universal")), s)
 
     def test_eg_equal_wealth_scales_uniformly(self):
         q = np.array([0.5, 0.5])
         s = np.array([1.0, 1.0])
-        out = mixture_update(q, s, MixtureRule.eg(eta=0.1))
+        out = mixture_update(q, s, MixtureRule("eg", eta=0.1))
         np.testing.assert_allclose(out, 0.5 * np.exp(0.1), rtol=1e-15)
 
     def test_ewma_lambda_one_is_identity(self):
         q = np.array([0.3, 0.7])
-        out = mixture_update(q, np.array([2.0, 1.0]), MixtureRule.ewma(lam=1.0))
+        out = mixture_update(q, np.array([2.0, 1.0]), MixtureRule("ewma", lam=1.0))
         np.testing.assert_array_equal(out, q)
 
     def test_ewma_formula(self):
         q = np.array([0.5, 0.5])
         s = np.array([2.0, 1.0])
-        out = mixture_update(q, s, MixtureRule.ewma(lam=0.6))
+        out = mixture_update(q, s, MixtureRule("ewma", lam=0.6))
         denom = 0.5 * 2.0 + 0.5 * 1.0
         expected = 0.6 * q + 0.4 * q * s / denom
         np.testing.assert_allclose(out, expected, rtol=1e-15)
 
     def test_zero_inner_product_rejected(self):
         with pytest.raises(ValueError, match="sum"):
-            mixture_update(np.zeros(2), np.ones(2), MixtureRule.eg())
+            mixture_update(np.zeros(2), np.ones(2), MixtureRule("eg"))
 
     def test_nonpositive_wealth_rejected(self):
         with pytest.raises(ValueError):
-            mixture_update(np.ones(2), np.array([1.0, 0.0]), MixtureRule.universal())
+            mixture_update(np.ones(2), np.array([1.0, 0.0]), MixtureRule("universal"))
 
     def test_rule_validation(self):
         with pytest.raises(ValueError):
@@ -110,6 +110,21 @@ class TestStep:
         h = np.array([[0.5, -0.5], [-0.5, 0.5]])
         with pytest.raises(BankruptcyError, match="agent 1"):
             step(state, np.array([3.2, 0.5]), h, h)
+
+    def test_non_finite_agent_wealth_is_bankruptcy(self):
+        state = self._state("absolute", [0.5, 0.5])
+        h = np.array([[0.5, 0.5], [np.nan, 1.0]])
+        with pytest.raises(BankruptcyError,
+                           match=r"^agent 1 wealth is not finite \(nan\) at period 0$"):
+            step(state, np.array([1.1, 0.9]), h, h)
+
+    def test_non_finite_mixture_is_bankruptcy(self):
+        # exp(eta * S / (q.S)) overflows for a large EG step.
+        state = LearnerState.initial(2, 2, "absolute", MixtureRule("eg", eta=1000.0))
+        h = np.eye(2)
+        with pytest.raises(BankruptcyError,
+                           match=r"^mixture weight 0 is not finite \(inf\) at period 0$"):
+            step(state, np.array([1.0, 1.0]), h, h)
 
     def test_leverage_correction_rescales_b_and_q(self):
         state = self._state("active", [0.0, 0.0])
@@ -205,6 +220,15 @@ class TestRunBacktest:
         assert a.wealth.tobytes() == b.wealth.tobytes()
         assert a.agent_wealth.tobytes() == b.agent_wealth.tobytes()
         assert a.controls.tobytes() == b.controls.tobytes()
+
+    def test_agent_wealth_underflow_is_bankruptcy(self):
+        # An agent held in an asset that quarters every period has wealth
+        # 2**-(2t + 2) after period t: the smallest subnormal at t = 536,
+        # zero at t = 537, where the run stops.
+        x = np.tile([0.25, 1.0], (600, 1))
+        h = np.broadcast_to(np.eye(2), (600, 2, 2))
+        with pytest.raises(BankruptcyError, match="^agent 0 wealth is 0 at period 537$"):
+            run_backtest(x, h, "absolute")
 
     def test_too_short_history(self):
         with pytest.raises(ValueError):

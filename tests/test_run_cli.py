@@ -296,7 +296,7 @@ class TestBatch:
         cfg = config_from_dict(make_doc())
         out = run_case_seed(cfg, "SDC4", seed=3)
         assert set(out) == {"absolute", "active"}
-        track, triple = out["absolute"]
+        triple = out["absolute"]
         assert len(triple.portfolio) == 60
         assert len(triple.best_stock) == 60
 
@@ -562,6 +562,38 @@ class TestCli:
         config = tmp_path / name
         assert cli.main([command, str(config)]) == 2
         assert f"config error: {config}: cannot read config file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds", ["1", "0"])
+    def test_batch_too_few_seeds_exit_two_before_any_run(self, tmp_path, monkeypatch, seeds,
+                                                         capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("run_case_seed called")
+
+        monkeypatch.setattr(run_module, "run_case_seed", never)
+        config = tmp_path / "cfg.yaml"
+        config.write_text(yaml.safe_dump(make_doc()))
+        code = cli.main(["batch", str(config), "--seeds", seeds, "--cases", "SDC1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"config error: seeds: the KS battery needs at least 2 seeds, got {seeds}" in err
+
+    def test_table5_zero_resolution_exit_two_before_reading_data(self, tmp_path, capsys):
+        code = cli.main(["table5", str(tmp_path / "missing.csv"), "--resolution", "0"])
+        assert code == 2  # not 3: the data file is never opened
+        assert "config error: resolution: must be an integer >= 1, got 0" in \
+            capsys.readouterr().err
+
+    def test_non_finite_eg_mixture_exit_four(self, capsys):
+        # A large EG step overflows the mixture; the run stops instead of
+        # reporting a NaN terminal wealth.
+        code = cli.main(["run", str(REPO_ROOT / "configs" / "synth_run.yaml"),
+                         "--set", "data.periods=200", "--set", "rule.name=eg",
+                         "--set", "rule.eta=10"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("bankruptcy: mixture weight ")
+        assert "is not finite" in captured.err
 
     def test_batch_sdc4_with_two_assets_exit_two(self, tmp_path, capsys):
         # The config names SDC1, which takes two assets; the batch sweep adds SDC4.
