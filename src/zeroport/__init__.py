@@ -5,7 +5,7 @@ Library layout:
 - :mod:`zeroport.marketdata` — OHLC ingestion, price-relative features, cleaning
 - :mod:`zeroport.fundsep` — analytic benchmark/active fund solvers and projections
 - :mod:`zeroport.patterns` — nearest-neighbour matching and agent-control generation
-- :mod:`zeroport.learner` — the online wealth-weighted aggregation loop
+- :mod:`zeroport.learner` — the wealth-weighted learner over blocks of whole periods
 - :mod:`zeroport.baselines` — universal portfolio and buy-and-hold references
 - :mod:`zeroport.synth` — seeded lognormal market cases SDC1-4
 - :mod:`zeroport.ksstats` — two-sample KS tests and the hypothesis battery
@@ -24,13 +24,11 @@ from .fundsep import (
 )
 from .learner import (
     BankruptcyError,
-    LearnerState,
     MixtureRule,
     WealthTrack,
     mixture_update,
     renormalize_mixture,
     run_backtest,
-    step,
 )
 from .marketdata import (
     DataError,

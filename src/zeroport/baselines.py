@@ -32,7 +32,8 @@ class GridTooLargeError(ValueError):
 
 @dataclass(frozen=True)
 class SimplexGrid:
-    """All weight vectors with entries n_i/Q on the M-asset simplex."""
+    """All weight vectors with entries n_i/Q on the M-asset simplex; a grid
+    of more than ``MAX_POINTS`` points raises :class:`GridTooLargeError`."""
 
     resolution: int
     n_assets: int
@@ -40,6 +41,11 @@ class SimplexGrid:
     def __post_init__(self):
         if self.resolution < 1 or self.n_assets < 1:
             raise ValueError("resolution and asset count must be positive")
+        if self.count > MAX_POINTS:
+            raise GridTooLargeError(
+                f"simplex grid would hold {self.count} points (> {MAX_POINTS}); "
+                "reduce the resolution or the number of assets"
+            )
 
     @property
     def count(self) -> int:
@@ -66,13 +72,7 @@ def universal_portfolio(x, resolution: int = DEFAULT_RESOLUTION) -> WealthTrack:
     the learner's universal rule over the grid's constant-rebalanced experts."""
     x = np.asarray(getattr(x, "values", x), dtype=float)
     t_total, m = x.shape
-    grid = SimplexGrid(resolution, m)
-    if grid.count > MAX_POINTS:
-        raise GridTooLargeError(
-            f"simplex grid would hold {grid.count} points (> {MAX_POINTS}); "
-            "reduce the resolution or the number of assets"
-        )
-    pts = grid.points()
+    pts = SimplexGrid(resolution, m).points()
     return run_backtest(x, np.broadcast_to(pts, (t_total, *pts.shape)), "absolute",
                         record_agents=False, label="universal_portfolio")
 

@@ -1,12 +1,13 @@
 """Online learning over competing agents.
 
-One period of the learner, in order: realize portfolio wealth from the
-controls held over the period, realize each agent's wealth from its own
-controls, refresh the agent mixture from accumulated wealth (universal
-rule; EG and EWMA variants available), renormalize the mixture for the
-portfolio mode, aggregate next-period agent controls into next-period
-portfolio controls, and rescale controls and mixture together whenever the
-aggregate leverage drifts off one.
+An agent's wealth depends on its own controls alone, so the learner works
+on blocks of whole periods: agent wealth, the mixture refreshed from it
+(universal rule; EG and EWMA variants available) and renormalized per
+mode, the next portfolio controls aggregated from the next agent controls
+at unit leverage (or cash), then portfolio wealth, drift and turnover.
+Under the universal rule each step is one array operation per block; EG
+and EWMA carry the mixture through a loop over periods with the same row
+rules.
 
 Absolute mode keeps mixtures on the probability simplex; active mode
 de-means them and fixes unit L1 leverage, so the aggregate stays a
@@ -17,13 +18,18 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 MODES = ("absolute", "active")
 
 NORMALIZATION_TOL = 1e-12
+
+# Periods run in blocks of about this many agent-periods, so that a block's
+# (periods, agents) arrays stay near 2 MB each, even for the universal
+# portfolio's up to 2 000 000 grid experts.
+BLOCK_AGENT_PERIODS = 1 << 18
 
 
 class BankruptcyError(RuntimeError):
@@ -72,18 +78,17 @@ def mixture_update(q, s_agents, rule: MixtureRule):
     if np.any(s <= 0):
         raise ValueError("agent wealth must stay positive")
     if rule.name == "universal":
-        return s.copy()
+        return s
     denom = float(q @ s)
     if denom == 0.0:
         raise ValueError(f"{rule.name} update undefined: sum(q * S) is zero")
     if rule.name == "eg":
-        with np.errstate(over="ignore", invalid="ignore"):  # the learner rejects a non-finite q
-            return q * np.exp(rule.eta * s / denom)
+        return q * np.exp(rule.eta * s / denom)
     return rule.lam * q + (1.0 - rule.lam) * q * s / denom
 
 
 def renormalize_mixture(q, mode: str):
-    """Mode normalization of the mixture (learner step 4).
+    """Mode normalization of mixtures, one per row along the last axis.
 
     absolute: divide by the sum, keeping a probability vector.  active:
     subtract the mean and divide by the L1 norm of the deviations, giving
@@ -92,117 +97,33 @@ def renormalize_mixture(q, mode: str):
     """
     q = np.asarray(q, dtype=float)
     if mode == "absolute":
-        total = q.sum()
-        if total <= 0:
+        total = q.sum(axis=-1, keepdims=True)
+        if np.any(total <= 0):
             raise ValueError("absolute mixture must have positive mass")
         return q / total
     if mode == "active":
-        dev = q - q.mean()
-        lev = np.abs(dev).sum()
-        if lev <= NORMALIZATION_TOL:
-            return np.zeros_like(q)
-        return dev / lev
+        dev = q - q.mean(axis=-1, keepdims=True)
+        lev = np.abs(dev).sum(axis=-1, keepdims=True)
+        cash = lev <= NORMALIZATION_TOL
+        return np.divide(dev, lev, out=np.zeros_like(dev), where=~cash)
     raise ValueError(f"unknown portfolio mode {mode!r}")
 
 
-@dataclass
-class LearnerState:
-    """Mutable learner state; single-owner, sequential in t."""
-
-    q: np.ndarray
-    s_agents: np.ndarray
-    s_port: float
-    b: np.ndarray
-    mode: str
-    rule: MixtureRule
-    t: int = 0
-    prev_drifted: np.ndarray = field(default=None)
-
-    @classmethod
-    def initial(cls, n_agents: int, n_assets: int, mode: str,
-                rule: MixtureRule | None = None) -> "LearnerState":
-        if mode not in MODES:
-            raise ValueError(f"unknown portfolio mode {mode!r}")
-        # Uniform initial mixture in both modes: the universal rule discards
-        # it after one step and the active de-mean of a uniform vector is
-        # identically zero, so the first active aggregate is hold-cash either
-        # way, while EG/EWMA stay well-defined.
-        q = np.full(n_agents, 1.0 / n_agents)
-        b = np.full(n_assets, 1.0 / n_assets) if mode == "absolute" else np.zeros(n_assets)
-        return cls(
-            q=q,
-            s_agents=np.ones(n_agents),
-            s_port=1.0,
-            b=b,
-            mode=mode,
-            rule=rule if rule is not None else MixtureRule(),
-            prev_drifted=np.zeros(n_assets),
-        )
+def _not_positive(a):
+    """Mask of the entries that are not finite and positive (NaN included)."""
+    return ~((a > 0.0) & (a < math.inf))
 
 
-@dataclass(frozen=True)
-class PeriodReport:
-    period: int
-    growth: float
-    turnover: float
-    leverage: float
-    hold_cash: bool
-
-
-def step(state: LearnerState, x_t, h_now, h_next=None) -> PeriodReport:
-    """Advance one period: realize x_t against held controls, then re-aggregate.
-
-    ``h_now`` are the agent controls held over this period and ``h_next``
-    the freshly generated ones for the next (None on the final period, in
-    which case the portfolio controls are left in place).
-    """
-    x = np.asarray(x_t, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("price relatives must be positive")
-    dx = x - 1.0
-
-    turnover = float(np.abs(state.b - state.prev_drifted).sum())
-
-    # A growth out of (0, inf), or an under- or overflow, leaves a wealth out of it.
-    growth = 1.0 + float(state.b @ dx)
-    s_port = state.s_port * growth
-    if not 0.0 < s_port < math.inf:
-        raise BankruptcyError(state.t, "portfolio wealth", s_port)
-    s_agents = state.s_agents * (1.0 + h_now @ dx)
-    if not 0.0 < s_agents.min() <= s_agents.max() < math.inf:  # NaN fails too
-        i = np.flatnonzero(~((s_agents > 0.0) & (s_agents < math.inf)))[0]
-        raise BankruptcyError(state.t, f"agent {i} wealth", float(s_agents[i]))
-    state.s_port, state.s_agents = s_port, s_agents
-    state.prev_drifted = state.b * x / growth
-
-    q_prev = state.q
-    if state.rule.name != "universal" and not q_prev.any():
-        # Hold-cash degenerate state (all-zero active mixture): the
-        # multiplicative rules have nothing to propagate, so they restart
-        # from the uniform mixture instead of dividing by zero.
-        q_prev = np.full_like(q_prev, 1.0 / q_prev.size)
-    q = mixture_update(q_prev, state.s_agents, state.rule)
-    if not np.isfinite(q).all():
-        i = np.flatnonzero(~np.isfinite(q))[0]
-        raise BankruptcyError(state.t, f"mixture weight {i}", float(q[i]))
-    q = renormalize_mixture(q, state.mode)
-
-    hold_cash = False
-    leverage = float(np.abs(state.b).sum())
-    if h_next is not None:
-        b_next = q @ h_next
-        leverage = float(np.abs(b_next).sum())
-        if leverage <= NORMALIZATION_TOL:
-            b_next = np.zeros_like(b_next)
-            hold_cash = True
-        elif abs(leverage - 1.0) > NORMALIZATION_TOL:
-            b_next = b_next / leverage
-            q = q / leverage
-        state.b = b_next
-    state.q = q
-    state.t += 1
-    return PeriodReport(period=state.t, growth=growth, turnover=turnover,
-                        leverage=leverage, hold_cash=hold_cash)
+def _aggregate(q, h):
+    """Portfolio controls ``q @ h``, one per row of mixtures ``q``, at unit
+    L1 leverage, or all cash where the leverage is within the tolerance of
+    zero.  Returns (controls, scale, hold_cash); a mixture carried to the
+    next period is divided by ``scale`` too."""
+    b = np.matmul(q[..., None, :], h)[..., 0, :]
+    lev = np.abs(b).sum(axis=-1, keepdims=True)
+    cash = lev <= NORMALIZATION_TOL
+    scale = np.where(~cash & (np.abs(lev - 1.0) > NORMALIZATION_TOL), lev, 1.0)
+    return np.where(cash, 0.0, b / scale), scale, cash[..., 0]
 
 
 @dataclass
@@ -271,43 +192,92 @@ def write_csv(path, header, rows):
             fh.write(",".join(map(repr, row)) + "\r\n")
 
 
-def run_backtest(x, controls, mode: str, rule: MixtureRule | None = None,
+def run_backtest(x, controls, mode: str, rule: MixtureRule = MixtureRule(),
                  record_agents: bool = True, label: str = "portfolio") -> WealthTrack:
     """Run the learner over a full history of price relatives.
 
     ``controls`` is a (T, N, M) array: row t holds the agent control
     matrices formed from the first t periods.  Initial portfolio controls
-    are uniform in absolute mode and all-cash in active mode.
+    are uniform in absolute mode and all-cash in active mode.  The first
+    period whose portfolio wealth or agent wealth is not finite and
+    positive, or whose refreshed mixture is not finite, raises
+    :class:`BankruptcyError`, checked in that order.
     """
     x = np.asarray(getattr(x, "values", x), dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("need at least two periods of relatives")
+    if np.any(x <= 0):
+        raise ValueError("price relatives must be positive")
+    if mode not in MODES:
+        raise ValueError(f"unknown portfolio mode {mode!r}")
     t_total, m = x.shape
     controls = np.asarray(controls, dtype=float)
     if controls.ndim != 3 or controls.shape[0] < t_total:
         raise ValueError(f"controls array must be (T, N, M) with T >= {t_total}")
     n_agents = controls.shape[1]
 
-    state = LearnerState.initial(n_agents, m, mode, rule)
-    wealth = np.empty(t_total)
+    wealth, growth = np.empty(t_total), np.empty(t_total)
     agent_wealth = np.empty((t_total, n_agents)) if record_agents else None
     b_hist = np.empty((t_total, m))
-    turnover = np.empty(t_total)
     hold_cash = np.zeros(t_total, dtype=bool)
 
-    h_now = controls[0]
-    for t in range(t_total):
-        b_hist[t] = state.b
-        h_next = controls[t + 1] if t + 1 < t_total else None
-        report = step(state, x[t], h_now, h_next)
-        wealth[t] = state.s_port
-        if record_agents:
-            agent_wealth[t] = state.s_agents
-        turnover[t] = report.turnover
-        hold_cash[t] = report.hold_cash
-        if h_next is not None:
-            h_now = h_next
+    # A uniform initial mixture keeps EG/EWMA well-defined; the universal
+    # rule discards it and active mode de-means it to hold-cash.
+    uniform = np.full(n_agents, 1.0 / n_agents)
+    q, s, s_port = uniform, np.ones(n_agents), 1.0
+    b_hist[0] = 1.0 / m if mode == "absolute" else 0.0
+    rows = max(1, BLOCK_AGENT_PERIODS // n_agents)
+    # Values past a block's first bad period are computed, then discarded.
+    with np.errstate(all="ignore"):
+        for t0 in range(0, t_total, rows):
+            k = min(rows, t_total - t0)
+            dx = x[t0:t0 + k] - 1.0
+            # Row by row: np.cumprod along axis 0 walks a wide block column
+            # by column, and a sequential product keeps the loop's bits.
+            s_rows = np.matmul(controls[t0:t0 + k], dx[:, :, None])[:, :, 0]
+            for row in np.add(s_rows, 1.0, out=s_rows):
+                s = np.multiply(s, row, out=row)
+            bad = _not_positive(s_rows).any(axis=1)
+            stop = int(bad.argmax()) if bad.any() else k  # the first bad agent period
 
+            n_next = min(stop, t_total - 1 - t0)  # periods whose next controls are set here
+            h_next, b_next, cash = (controls[t0 + 1:t0 + 1 + n_next],
+                                    b_hist[t0 + 1:t0 + 1 + n_next], hold_cash[t0:t0 + n_next])
+            if rule.name == "universal":
+                b_next[:], _, cash[:] = _aggregate(
+                    renormalize_mixture(mixture_update(q, s_rows[:n_next], rule), mode), h_next)
+            else:
+                for i in range(stop):
+                    # A hold-cash (all-zero) mixture restarts from uniform:
+                    # the multiplicative rules have nothing to propagate.
+                    q = mixture_update(q if q.any() else uniform, s_rows[i], rule)
+                    if not np.isfinite(q).all():
+                        stop = i
+                        break
+                    q = renormalize_mixture(q, mode)
+                    if i < n_next:
+                        b_next[i], scale, cash[i] = _aggregate(q, h_next[i])
+                        q = q / scale
+
+            end = min(stop + 1, k)  # through the first bad period, if any
+            growth[t0:t0 + end] = 1.0 + np.matmul(b_hist[t0:t0 + end, None, :],
+                                                  dx[:end, :, None])[:, 0, 0]
+            w = wealth[t0:t0 + end] = np.cumprod(np.append(s_port, growth[t0:t0 + end]))[1:]
+            if _not_positive(w).any():
+                i = int(_not_positive(w).argmax())
+                raise BankruptcyError(t0 + i, "portfolio wealth", float(w[i]))
+            if stop < k and np.isfinite(q).all():
+                i = int(_not_positive(s_rows[stop]).argmax())
+                raise BankruptcyError(t0 + stop, f"agent {i} wealth", float(s_rows[stop, i]))
+            if stop < k:
+                i = int(np.isfinite(q).argmin())
+                raise BankruptcyError(t0 + stop, f"mixture weight {i}", float(q[i]))
+            s_port = w[-1]
+            if record_agents:
+                agent_wealth[t0:t0 + k] = s_rows
+
+    drift = b_hist * x / growth[:, None]
+    turnover = np.abs(b_hist - np.vstack((np.zeros(m), drift[:-1]))).sum(axis=1)
     return WealthTrack(wealth=wealth, controls=b_hist, turnover=turnover,
                        hold_cash=hold_cash, mode=mode, agent_wealth=agent_wealth,
                        label=label)

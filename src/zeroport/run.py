@@ -264,7 +264,14 @@ def build_dataset(cfg: RunConfig) -> marketdata.PriceRelativeMatrix:
             matrix = marketdata.clean_relatives(matrix, lo=data["clean_lo"], hi=data["clean_hi"])
     if data["tickers"]:
         matrix = marketdata.select_tickers(matrix, data["tickers"])
+    _expect_periods(matrix, data["path"])
     return matrix
+
+
+def _expect_periods(matrix, path):
+    if matrix.shape[0] < 2:
+        raise marketdata.DataError(
+            f"{path}: a backtest needs at least 2 periods of relatives, got {matrix.shape[0]}")
 
 
 def build_engine(cfg: RunConfig, matrix) -> PatternAgents:
@@ -474,6 +481,11 @@ def nyse_table(data_path, pairs=DEFAULT_PAIRS, resolution=baselines.DEFAULT_RESO
     universal portfolio, and buy-and-hold of the best stock.
     """
     _expect(resolution >= 1, "resolution", f"must be an integer >= 1, got {resolution!r}")
+    for pair in pairs:
+        try:
+            baselines.SimplexGrid(resolution, len(pair))
+        except baselines.GridTooLargeError as exc:
+            raise ConfigError("resolution", str(exc)) from exc
     data_path = Path(data_path)
     if data_path.is_dir():
         candidates = sorted(data_path.glob("*.csv"))
@@ -481,6 +493,7 @@ def nyse_table(data_path, pairs=DEFAULT_PAIRS, resolution=baselines.DEFAULT_RESO
             raise marketdata.DataError(f"no CSV files under {data_path}")
         data_path = candidates[0]
     matrix = marketdata.load_relatives_csv(data_path)
+    _expect_periods(matrix, data_path)
     specs = agent_grid(grid.windows, grid.levels, 1, grid.horizons)
     rows = []
     for pair in pairs:

@@ -120,11 +120,15 @@ def numeric_budget_optimum(mu, sigma, gamma):
     return w0 + z @ res.x
 
 
-def scalar_learner_trace(x, h_by_period, mode, n_agents):
+def scalar_learner_trace(x, h_by_period, mode, n_agents, rule="universal", eta=0.05, lam=0.99):
     """Pure-Python replay of the learning loop for tiny fixtures.
 
-    ``h_by_period[t][n][m]`` are nested lists; returns per-period portfolio
-    wealth as plain floats.
+    ``h_by_period[t][n][m]`` are nested lists.  ``rule`` is "universal",
+    "eg" (step ``eta``) or "ewma" (weight ``lam``); EG and EWMA restart
+    from the uniform mixture after a hold-cash period, and a mixture is
+    divided by the leverage that its controls are divided by.  Returns the
+    per-period portfolio wealth and the controls held in each period, as
+    plain floats.
     """
     t_total = len(x)
     m = len(x[0])
@@ -135,15 +139,26 @@ def scalar_learner_trace(x, h_by_period, mode, n_agents):
         b = [1.0 / m] * m
     else:
         b = [0.0] * m
-    wealth = []
+    wealth, held = [], []
     for t in range(t_total):
         dx = [x[t][j] - 1.0 for j in range(m)]
         growth = 1.0 + sum(b[j] * dx[j] for j in range(m))
         s_port *= growth
+        held.append(list(b))
         h_now = h_by_period[t]
         for n in range(n_agents):
             s_agents[n] *= 1.0 + sum(h_now[n][j] * dx[j] for j in range(m))
-        q = list(s_agents)  # universal rule
+        if rule == "universal":
+            q = list(s_agents)
+        else:
+            if not any(q):
+                q = [1.0 / n_agents] * n_agents
+            denom = sum(q[n] * s_agents[n] for n in range(n_agents))
+            if rule == "eg":
+                q = [q[n] * math.exp(eta * s_agents[n] / denom) for n in range(n_agents)]
+            else:
+                q = [lam * q[n] + (1.0 - lam) * q[n] * s_agents[n] / denom
+                     for n in range(n_agents)]
         if mode == "absolute":
             total = sum(q)
             q = [v / total for v in q]
@@ -162,4 +177,4 @@ def scalar_learner_trace(x, h_by_period, mode, n_agents):
                 b = [v / nu for v in b]
                 q = [v / nu for v in q]
         wealth.append(s_port)
-    return wealth
+    return wealth, held

@@ -3,7 +3,12 @@ worker count, errors keep their type, and the in-process rules hold."""
 
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import textwrap
 import threading
+import time
 
 import pytest
 import yaml
@@ -118,6 +123,59 @@ def test_closing_early_leaves_no_worker():
     assert next(results) == 1
     results.close()
     assert multiprocessing.active_children() == []
+
+
+def _running(pid):
+    """Whether ``pid`` is a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="parent-death signal is Linux's")
+def test_killed_parent_leaves_no_worker():
+    script = textwrap.dedent("""
+        import multiprocessing, os, threading, time
+        from zeroport import forkpool
+
+        main = threading.get_ident()
+        os.register_at_fork(before=lambda: print("fork from calling thread",
+                                                 threading.get_ident() == main, flush=True))
+
+        def task(i):
+            if i:
+                time.sleep(120)
+
+        for _ in forkpool.imap(task, range(4), 2):
+            print("workers", *(p.pid for p in multiprocessing.active_children()), flush=True)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    parent = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                              text=True, env=env)
+    pids = []
+    stuck = threading.Timer(60, parent.kill)  # ends the reads below if the script hangs
+    stuck.start()
+    try:
+        lines = [parent.stdout.readline() for _ in range(3)]
+        assert lines[:2] == ["fork from calling thread True\n"] * 2
+        pids = [int(pid) for pid in lines[2].split()[1:]]
+        assert len(pids) == 2
+        parent.send_signal(signal.SIGTERM)
+        assert parent.wait(timeout=10) == -signal.SIGTERM
+        deadline = time.monotonic() + 10
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, pids))
+    finally:
+        stuck.cancel()
+        stuck.join(timeout=10)
+        parent.kill()
+        parent.wait(timeout=10)
+        parent.stdout.close()
+        for pid in filter(_running, pids):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_engine_worker_bankruptcy_exit_four(tmp_path, monkeypatch, capsys):

@@ -5,14 +5,13 @@ import pytest
 
 from zeroport import learner
 from zeroport.learner import (
+    MODES,
     BankruptcyError,
-    LearnerState,
     MixtureRule,
     WealthTrack,
     mixture_update,
     renormalize_mixture,
     run_backtest,
-    step,
 )
 from conftest import scalar_learner_trace
 
@@ -81,73 +80,81 @@ class TestRenormalize:
             assert lev == 0.0 or abs(lev - 1.0) < 1e-12
 
 
+# Opposite long-short agents: after a period-0 move of x = [1.1, 0.9] or
+# [1.2, 0.8] the active mixture is [0.5, -0.5], so period 1 holds q @ h[1].
+LONG_SHORT = np.array([[0.5, -0.5], [-0.5, 0.5]])
+
+
 class TestStep:
-    def _state(self, mode, b, n_agents=2):
-        state = LearnerState.initial(n_agents, len(b), mode)
-        state.b = np.asarray(b, dtype=float)
-        return state
+    """One learner period, run through run_backtest on two- and three-period histories."""
 
     def test_absolute_symmetric_growth(self):
-        state = self._state("absolute", [0.5, 0.5])
-        h = np.full((2, 2), 0.5)
-        step(state, np.array([1.1, 0.9]), h, h)
-        assert state.s_port == pytest.approx(1.0, abs=1e-15)
+        h = np.full((2, 2, 2), 0.5)
+        track = run_backtest(np.array([[1.1, 0.9], [1.0, 1.0]]), h, "absolute")
+        np.testing.assert_array_equal(track.controls[0], [0.5, 0.5])
+        assert track.wealth[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_active_long_short_growth(self):
-        state = self._state("active", [0.5, -0.5])
-        h = np.zeros((2, 2))
-        step(state, np.array([1.1, 0.9]), h, h)
-        assert state.s_port == pytest.approx(1.1, abs=1e-15)
+        x = np.array([[1.1, 0.9], [1.1, 0.9]])
+        track = run_backtest(x, np.stack([LONG_SHORT, LONG_SHORT]), "active")
+        np.testing.assert_array_equal(track.controls[1], [0.5, -0.5])
+        assert track.wealth[1] == pytest.approx(1.1, abs=1e-15)
 
     def test_portfolio_bankruptcy_detected(self):
-        state = self._state("active", [-0.5, 0.5])
-        h = np.zeros((2, 2))
-        with pytest.raises(BankruptcyError, match="portfolio"):
-            step(state, np.array([3.2, 0.5]), h, h)
+        # Agent 0 also goes bankrupt in period 1; the portfolio is checked first.
+        x = np.array([[1.1, 0.9], [3.2, 0.5]])
+        with pytest.raises(BankruptcyError, match="^portfolio wealth is -0.35 at period 1$"):
+            run_backtest(x, np.stack([LONG_SHORT, -LONG_SHORT]), "active")
 
     def test_agent_bankruptcy_identifies_culprit(self):
-        state = self._state("active", [0.0, 0.0])
-        h = np.array([[0.5, -0.5], [-0.5, 0.5]])
-        with pytest.raises(BankruptcyError, match="agent 1"):
-            step(state, np.array([3.2, 0.5]), h, h)
+        x = np.array([[3.2, 0.5], [1.0, 1.0]])
+        with pytest.raises(BankruptcyError, match="^agent 1 wealth is -0.35 at period 0$"):
+            run_backtest(x, np.stack([LONG_SHORT, LONG_SHORT]), "active")
 
     def test_non_finite_agent_wealth_is_bankruptcy(self):
-        state = self._state("absolute", [0.5, 0.5])
         h = np.array([[0.5, 0.5], [np.nan, 1.0]])
         with pytest.raises(BankruptcyError,
                            match=r"^agent 1 wealth is not finite \(nan\) at period 0$"):
-            step(state, np.array([1.1, 0.9]), h, h)
+            run_backtest(np.array([[1.1, 0.9], [1.0, 1.0]]), np.stack([h, h]), "absolute")
 
     def test_non_finite_mixture_is_bankruptcy(self):
         # exp(eta * S / (q.S)) overflows for a large EG step.
-        state = LearnerState.initial(2, 2, "absolute", MixtureRule("eg", eta=1000.0))
-        h = np.eye(2)
+        h = np.broadcast_to(np.eye(2), (2, 2, 2))
         with pytest.raises(BankruptcyError,
                            match=r"^mixture weight 0 is not finite \(inf\) at period 0$"):
-            step(state, np.array([1.0, 1.0]), h, h)
+            run_backtest(np.ones((2, 2)), h, "absolute", MixtureRule("eg", eta=1000.0))
 
     def test_leverage_correction_rescales_b_and_q(self):
-        state = self._state("active", [0.0, 0.0])
-        # Unequal agent wealth drives a non-unit aggregate leverage.
-        state.s_agents = np.array([1.0, 1.0])
+        # Active: q = [0.5, -0.5] aggregates to leverage 0.25, rescaled to one.
         h_next = np.array([[0.5, -0.5], [0.25, -0.25]])
-        x = np.array([1.2, 0.8])
-        h_now = np.array([[0.5, -0.5], [-0.5, 0.5]])
-        step(state, x, h_now, h_next)
-        lev = np.abs(state.b).sum()
-        assert lev == 0.0 or abs(lev - 1.0) < 1e-12
+        track = run_backtest(np.array([[1.2, 0.8], [1.0, 1.0]]),
+                             np.stack([LONG_SHORT, h_next]), "active")
+        np.testing.assert_array_equal(track.controls[1], [0.5, -0.5])
+        # Absolute EG, agents at leverage 2: controls and the mixture carried
+        # into period 1 are both halved, which moves period 2's controls.
+        x = np.array([[1.1, 0.9], [1.0, 1.05], [1.0, 1.0]])
+        track = run_backtest(x, np.broadcast_to(2.0 * np.eye(2), (3, 2, 2)), "absolute",
+                             MixtureRule("eg", eta=0.5))
+        s0, s1 = np.array([1.2, 0.8]), np.array([1.2, 0.88])
+        q0 = 0.5 * np.exp(0.5 * s0)
+        q0 /= q0.sum()
+        np.testing.assert_allclose(track.controls[1], q0, rtol=1e-15)
+
+        def period_2_controls(q):
+            q = q * np.exp(0.5 * s1 / (q @ s1))
+            return q / q.sum()
+
+        np.testing.assert_allclose(track.controls[2], period_2_controls(q0 / 2.0), rtol=1e-14)
+        assert np.abs(period_2_controls(q0) - period_2_controls(q0 / 2.0)).max() > 1e-3
 
     def test_hold_cash_when_aggregate_vanishes(self):
-        state = self._state("active", [0.0, 0.0])
-        h = np.zeros((2, 2))
-        report = step(state, np.array([1.05, 0.97]), h, h)
-        assert report.hold_cash
-        np.testing.assert_array_equal(state.b, np.zeros(2))
+        track = run_backtest(np.array([[1.05, 0.97], [1.0, 1.0]]), np.zeros((2, 2, 2)), "active")
+        np.testing.assert_array_equal(track.hold_cash, [True, False])
+        np.testing.assert_array_equal(track.controls[1], np.zeros(2))
 
     def test_rejects_nonpositive_relatives(self):
-        state = self._state("absolute", [0.5, 0.5])
-        with pytest.raises(ValueError):
-            step(state, np.array([1.0, 0.0]), np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match="price relatives must be positive"):
+            run_backtest(np.array([[1.0, 0.0], [1.0, 1.0]]), np.full((2, 2, 2), 0.5), "absolute")
 
 
 class TestRunBacktest:
@@ -165,22 +172,31 @@ class TestRunBacktest:
         np.testing.assert_allclose(track.wealth, np.cumprod(x[:, 0]), rtol=1e-12)
 
     def test_matches_scalar_trace_absolute_and_active(self, rng):
-        # Independent pure-Python replay of the five-step loop.
-        t, n, m = 6, 2, 2
+        # Independent pure-Python replay of the loop, for all three rules.
+        # Agent 2 holds twice the leverage of the others, so the aggregate
+        # is rescaled (controls and mixture); in active mode every agent
+        # holds cash in period 0, so the mixture is flat (hold-cash) and EG
+        # and EWMA restart from uniform in period 1.
+        t, n, m = 9, 3, 3
         x = np.round(np.exp(rng.normal(0, 0.05, size=(t, m))), 4)
-        h = np.empty((t, n, m))
-        h[:, 0] = [1.0, 0.0]
-        h[:, 1] = [0.0, 1.0]
-        track = run_backtest(x, h, "absolute")
-        expected = scalar_learner_trace(x.tolist(), h.tolist(), "absolute", n)
-        np.testing.assert_allclose(track.wealth, expected, rtol=1e-12)
-
-        h_act = np.empty((t, n, m))
-        h_act[:, 0] = [0.5, -0.5]
-        h_act[:, 1] = [-0.5, 0.5]
-        track = run_backtest(x, h_act, "active")
-        expected = scalar_learner_trace(x.tolist(), h_act.tolist(), "active", n)
-        np.testing.assert_allclose(track.wealth, expected, rtol=1e-12)
+        h = rng.dirichlet(np.ones(m), size=(t, n))
+        h[:, 2] *= 2.0
+        h_act = rng.normal(size=(t, n, m))
+        h_act -= h_act.mean(axis=2, keepdims=True)
+        h_act /= np.abs(h_act).sum(axis=2, keepdims=True)
+        h_act[0] = 0.0
+        for rule in (MixtureRule("universal"), MixtureRule("eg", eta=0.3),
+                     MixtureRule("ewma", lam=0.6)):
+            for mode, hh in (("absolute", h), ("active", h_act)):
+                track = run_backtest(x, hh, mode, rule)
+                wealth, held = scalar_learner_trace(x.tolist(), hh.tolist(), mode, n,
+                                                    rule.name, rule.eta, rule.lam)
+                np.testing.assert_allclose(track.wealth, wealth, rtol=1e-12)
+                np.testing.assert_allclose(track.controls, held, rtol=1e-12, atol=1e-15)
+                assert np.isfinite(track.wealth).all()
+                assert not track.hold_cash[1:].any()
+                if mode == "active":
+                    assert track.hold_cash[0]
 
     def test_dominant_agent_takes_the_mixture(self):
         # Asset 0 compounds up; agent 0 rides it, agent 1 rides the loser.
@@ -220,6 +236,43 @@ class TestRunBacktest:
         assert a.wealth.tobytes() == b.wealth.tobytes()
         assert a.agent_wealth.tobytes() == b.agent_wealth.tobytes()
         assert a.controls.tobytes() == b.controls.tobytes()
+
+    @pytest.mark.parametrize("n_agents", [1, 2, 3, 5, 13])
+    def test_prefixes_and_block_edges_are_byte_identical(self, rng, monkeypatch, n_agents):
+        # 12 agent-periods a block puts block edges every 12 // N periods
+        # (every period for N = 13) inside the 23-period history.
+        t, m = 23, 3
+        fields = ("wealth", "agent_wealth", "controls", "turnover", "hold_cash")
+        x = np.exp(rng.normal(0, 0.03, size=(t, m)))
+        h_act = rng.normal(size=(t, n_agents, m))
+        h_act -= h_act.mean(axis=2, keepdims=True)
+        h_act /= np.abs(h_act).sum(axis=2, keepdims=True)
+        stacks = {"absolute": rng.dirichlet(np.ones(m), size=(t, n_agents)), "active": h_act}
+        rules = (MixtureRule("universal"), MixtureRule("eg", eta=0.1), MixtureRule("ewma"))
+        whole = {(mode, rule): run_backtest(x, stacks[mode], mode, rule)
+                 for mode in MODES for rule in rules}
+        monkeypatch.setattr(learner, "BLOCK_AGENT_PERIODS", 12)
+        for (mode, rule), one_block in whole.items():
+            full = run_backtest(x, stacks[mode], mode, rule)
+            for f in fields:
+                assert getattr(full, f).tobytes() == getattr(one_block, f).tobytes(), f
+            lean = run_backtest(x, stacks[mode], mode, rule, record_agents=False)
+            assert lean.agent_wealth is None
+            assert lean.wealth.tobytes() == full.wealth.tobytes()
+            for p in range(2, t):
+                part = run_backtest(x[:p], stacks[mode][:p], mode, rule)
+                for f in fields[:-1]:
+                    assert getattr(part, f).tobytes() == getattr(full, f)[:p].tobytes(), (p, f)
+                # A history's last period aggregates no next controls, so it never holds cash.
+                assert part.hold_cash.tobytes() == full.hold_cash[:p - 1].tobytes() + b"\x00"
+        # A bankruptcy inside a later block names its own period; a lone
+        # agent's portfolio goes with it and is checked first.
+        x = np.tile([0.25, 1.0], (600, 1))
+        h = np.zeros((600, n_agents, 2))
+        h[:, 0, 0] = h[:, 1:, 1] = 1.0
+        culprit = "portfolio wealth" if n_agents == 1 else "agent 0 wealth"
+        with pytest.raises(BankruptcyError, match=f"^{culprit} is 0 at period 537$"):
+            run_backtest(x, h, "absolute")
 
     def test_agent_wealth_underflow_is_bankruptcy(self):
         # An agent held in an asset that quarters every period has wealth

@@ -583,6 +583,39 @@ class TestCli:
         assert "config error: resolution: must be an integer >= 1, got 0" in \
             capsys.readouterr().err
 
+    def test_table5_grid_too_large_exit_two_before_any_strategy(self, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("pattern_controls called")
+
+        monkeypatch.setattr(run_module, "pattern_controls", never)
+        code = cli.main(["table5", str(FIXTURE_DIR / "pair_synthetic.csv"),
+                         "--pairs", "PAIRA:PAIRB", "--resolution", "3000000"])
+        assert code == 2
+        assert "config error: resolution: simplex grid would hold 3000001 points" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, text", [
+        ("relatives_csv", "PAIRA,PAIRB\n1.01,0.99\n"),
+        ("ohlc_csv", "ticker,timestamp,open,high,low,close\n"
+                     "A,2024-01-02T00:00:00,10,11,9,10.5\n"
+                     "A,2024-01-03T00:00:00,10.5,11,10,10.8\n"),
+    ], ids=["relatives_csv", "ohlc_csv"])
+    def test_one_period_csv_exit_three(self, tmp_path, kind, text, capsys):
+        data = tmp_path / "one.csv"
+        data.write_text(text)
+        config = tmp_path / "cfg.yaml"
+        config.write_text(yaml.safe_dump({"spec_version": 1,
+                                          "data": {"kind": kind, "path": str(data)}}))
+        assert cli.main(["run", str(config)]) == 3
+        assert (f"data error: {data}: a backtest needs at least 2 periods of relatives, got 1"
+                in capsys.readouterr().err)
+
+    def test_table5_one_period_csv_exit_three(self, tmp_path, capsys):
+        data = tmp_path / "one.csv"
+        data.write_text("PAIRA,PAIRB\n1.01,0.99\n")
+        assert cli.main(["table5", str(data), "--pairs", "PAIRA:PAIRB"]) == 3
+        assert f"data error: {data}: a backtest needs at least 2" in capsys.readouterr().err
+
     def test_non_finite_eg_mixture_exit_four(self, capsys):
         # A large EG step overflows the mixture; the run stops instead of
         # reporting a NaN terminal wealth.
