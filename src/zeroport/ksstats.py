@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kolmogorov
 
 HYPOTHESES = ("S2>S1", "S2>S3", "S3>S1")
 
@@ -60,6 +59,8 @@ def ks_two_sample(a, b, alternative: str = "two-sided") -> KsResult:
         d = float(max(diff.max(), 0.0))
         p = float(min(1.0, math.exp(-2.0 * n_eff * d * d)))
     elif alternative == "two-sided":
+        from scipy.special import kolmogorov  # slow to import; only this branch needs it
+
         d = float(np.abs(diff).max())
         p = float(min(1.0, max(0.0, kolmogorov(d * math.sqrt(n_eff)))))
     else:

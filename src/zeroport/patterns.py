@@ -19,7 +19,8 @@ every window's scores follow by lagged adds (:func:`_block_selections`);
 each (tau, k) group then selects its rows.  Under the trivial partition the
 periods that share their ell-hats share one selection (:func:`_nearest`),
 which :func:`_stable_smallest` makes by a row-wise partition when the
-ell-hats are at most a quarter of the candidates and by a sort otherwise.
+ell-hats are at most a quarter of the candidates and otherwise by numpy's
+vectorised sort, checked for ties.
 The block's row lists are summed in one stacked call per set of prefix
 lengths, which the groups and periods of a block normally share
 (:func:`_prefix_moments`); one fund solve maps the block's moments to
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,16 +168,19 @@ def make_partitions(t: int, kind: str, ell: int) -> np.ndarray:
     return (rows >= bounds[:, :1]) & (rows < bounds[:, 1:])
 
 
-def gyorfi_match_count(ell: int, levels: int, t: int) -> int:
+def gyorfi_match_count(ell: int, levels: int, t: int | np.ndarray) -> int | np.ndarray:
     """Match count floor(p_ell * t) with p_ell = 0.02 + 0.5 (ell-1)/(L-1).
 
-    With a single level the schedule degenerates to p = 0.02.  The result
-    is not yet clamped to the admissible candidate count.
+    With a single level the schedule degenerates to p = 0.02.  ``t`` is an
+    int, which gives an int, or an integer array, which gives an intp array
+    of the counts at each t.  The result is not yet clamped to the
+    admissible candidate count.
     """
     if not 1 <= ell <= levels:
         raise ValueError(f"ell={ell} outside 1..{levels}")
     p = 0.02 if levels == 1 else 0.02 + 0.5 * (ell - 1) / (levels - 1)
-    return int(math.floor(p * t))
+    counts = np.floor(p * np.asarray(t, dtype=float)).astype(np.intp)
+    return int(counts) if counts.ndim == 0 else counts
 
 
 @dataclass(frozen=True)
@@ -197,15 +200,31 @@ def _stable_smallest(scores, n_smallest):
     """Indices of the n smallest scores along the last axis of a 1-D row or
     a 2-D block of rows, earliest index first among ties.
 
-    Equivalent to ``np.argsort(scores, axis=-1, kind="stable")[..., :n_smallest]``
-    but via one row-wise partition when n is at most a quarter of the
-    candidate count: a row with exactly n scores at or below its cut takes
-    them in index order and stably sorts their values; a row with ties
-    across the cut is sorted whole.
+    Equivalent to ``np.argsort(scores, axis=-1, kind="stable")[..., :n_smallest]``,
+    by one of two branches.  When n is more than a quarter of the candidate
+    count, each row takes numpy's default argsort (unstable, vectorised) and
+    keeps its first n indices if its first n + 1 sorted scores (all of them
+    when n covers the row) strictly increase: the n smallest are then unique
+    and in order, so a stable sort returns the same indices whatever the
+    CPU's sort kernel.  A row with a tie there (0.0 against -0.0 included)
+    or a NaN is stably sorted on its own.  Otherwise one row-wise
+    partition: a row with exactly n scores at or below its cut takes them
+    in index order and stably sorts their values; a row with ties across
+    the cut is sorted whole.
     """
     n = scores.shape[-1]
     if n_smallest >= n or n_smallest * 4 > n:
-        return np.argsort(scores, axis=-1, kind="stable")[..., :n_smallest]
+        order = scores.argsort(axis=-1)
+        if scores.ndim == 1:  # most gyorfi_nn calls: plain indexing costs the least per call
+            top = scores[order[:n_smallest + 1]]
+            if (top[1:] > top[:-1]).all():
+                return order[:n_smallest]
+            return scores.argsort(kind="stable")[:n_smallest]
+        top = np.take_along_axis(scores, order[:, :n_smallest + 1], axis=1)
+        order = order[:, :n_smallest]
+        for p in np.flatnonzero(~(top[:, 1:] > top[:, :-1]).all(axis=1)):
+            order[p] = scores[p].argsort(kind="stable")[:n_smallest]
+        return order
     block = np.atleast_2d(scores)
     cut = np.partition(block, n_smallest - 1, axis=1)[:, n_smallest - 1, None]
     below = block <= cut
@@ -226,24 +245,23 @@ def _nearest(scored, row0, t0, t1, k, tau, group, rule, levels):
     ell-hat clamped to [1, candidates].
 
     At history length t the n = t - tau - k + 1 candidates are scored in
-    ``scored[t - row0, :n]``.  The periods that share a set of ell-hats go
-    to one :func:`_stable_smallest` call, each row's later candidates set to
-    NaN, which sorts after every score; that call picks a row-wise
-    partition or a sort.
+    ``scored[t - row0, :n]``.  The block's (periods x agents) ell-hat table
+    takes one :func:`gyorfi_match_count` call per ell.  The periods that
+    share a row of it go to one :func:`_stable_smallest` call, each row's
+    later candidates set to NaN, which sorts after every score; that call
+    sorts each row when the largest ell-hat is above a quarter of the
+    candidates, and partitions the rows otherwise.
     """
     shift = k - 1 + tau  # candidate index -> outcome row
-    ells = tuple(spec.ell for _, spec in group)
+    for t in range(t0, min(t1, shift + 1)):  # no admissible candidate
+        yield [t], group, _NO_ROWS[None], (0,) * len(group)
+    periods = np.arange(max(t0, shift + 1), t1)
+    ells = [spec.ell for _, spec in group]
+    wanted = np.stack([gyorfi_match_count(ell, levels, periods) for ell in ells], axis=1) \
+        if rule == "gyorfi_nn" else np.array(ells)[None]
     blocks = {}
-    for t in range(t0, t1):
-        n = t - shift  # admissible candidates
-        if n <= 0:
-            yield [t], group, _NO_ROWS[None], (0,) * len(group)
-            continue
-        lhats = tuple(gyorfi_match_count(ell, levels, t) for ell in ells) \
-            if rule == "gyorfi_nn" else ells
-        if not 1 <= min(lhats) <= max(lhats) <= n:
-            lhats = tuple(max(1, min(lhat, n)) for lhat in lhats)
-        blocks.setdefault(lhats, []).append(t)
+    for t, lhats in zip(periods.tolist(), np.clip(wanted, 1, (periods - shift)[:, None]).tolist()):
+        blocks.setdefault(tuple(lhats), []).append(t)
     for lhats, ts in blocks.items():
         if len(ts) == 1:  # a view, and a 1-D call as benchmarks/selftest.py's fault expects
             rows = _stable_smallest(scored[ts[0] - row0, :ts[0] - shift], max(lhats))[None]

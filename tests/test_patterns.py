@@ -75,6 +75,18 @@ class TestGyorfiCount:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             gyorfi_match_count(11, 10, 50)
+        with pytest.raises(ValueError):
+            gyorfi_match_count(0, 10, np.arange(5))
+
+    def test_array_t_equals_scalar_t(self):
+        ts = np.arange(5001)
+        for levels in range(1, 13):
+            for ell in range(1, levels + 1):
+                got = gyorfi_match_count(ell, levels, ts)
+                assert got.dtype == np.intp and got.shape == ts.shape
+                scalar = [gyorfi_match_count(ell, levels, t) for t in range(5001)]
+                assert all(type(count) is int for count in scalar)
+                assert got.tolist() == scalar, (ell, levels)
 
 
 class TestMatch:
@@ -314,6 +326,52 @@ class TestGenerateControls:
                                        atol=1e-12)
 
 
+def _sorted_branch_cases(width=96, n_smallest=40):
+    """(scores, n_smallest, falls back) blocks for the sorted branch of
+    ``_stable_smallest``; rows of 96 are long enough for numpy's vectorised
+    sort to reorder ties."""
+    rng = np.random.default_rng(7)
+    rows = 8
+
+    def distinct(size):
+        return np.stack([rng.permutation(size) for _ in range(rows)]).astype(float)
+
+    few_values = rng.integers(0, 6, size=(rows, width)).astype(float)
+    past = np.full((rows, width), 1000.0)  # n distinct smallest, then one tied value
+    past[:, :n_smallest] = distinct(n_smallest)
+    past = rng.permuted(past, axis=1)
+    across = np.where(past == n_smallest - 1, 1000.0, past)  # the n-th smallest ties the rest
+    nan_tails = np.full((rows, width), np.nan)
+    nan_tails[:, :n_smallest] = distinct(n_smallest)
+    signed = distinct(width) - 20.0
+    signed[signed == 1.0] = -0.0  # 0.0 and -0.0 both among the smallest
+    return {
+        "ties-in-head": (few_values, n_smallest, True),
+        "ties-only-past-cut": (past, n_smallest, False),
+        "tie-across-cut": (across, n_smallest, True),
+        "nan-tail-at-cut": (nan_tails, n_smallest, True),
+        "signed-zeros": (signed, n_smallest, True),
+        "whole-row-distinct": (distinct(width), width, False),
+        "whole-row-ties": (few_values, width, True),
+    }
+
+
+SORTED_BRANCH_CASES = _sorted_branch_cases()
+
+
+def _recording_sorts(scores):
+    """A view of ``scores`` that records the kind of every argsort called on
+    it or on its rows."""
+    kinds = []
+
+    class Recorded(np.ndarray):
+        def argsort(self, axis=-1, kind=None):
+            kinds.append(kind)
+            return np.asarray(self).argsort(axis=axis, kind=kind)
+
+    return scores.view(Recorded), kinds
+
+
 class TestEngineSelections:
     @pytest.mark.parametrize("kind", ["overlapping", "exclusive"])
     def test_partition_path_against_brute_force(self, rng, kind):
@@ -406,6 +464,19 @@ class TestEngineSelections:
         np.testing.assert_array_equal(got, np.argsort(scores, axis=1, kind="stable")[:, :n_smallest])
         for row, picked in zip(scores, got):
             np.testing.assert_array_equal(picked, patterns._stable_smallest(row, n_smallest))
+
+    @pytest.mark.parametrize("case", sorted(SORTED_BRANCH_CASES))
+    def test_sorted_branch_equals_stable_argsort(self, case):
+        # Above a quarter of the candidates each row takes the unstable sort
+        # and falls back to a stable sort of its own exactly when its first
+        # n_smallest + 1 sorted scores do not strictly increase.
+        scores, n_smallest, falls_back = SORTED_BRANCH_CASES[case]
+        assert n_smallest * 4 > scores.shape[1]
+        expected = np.argsort(scores, axis=1, kind="stable")[:, :n_smallest]
+        for block, want in [(scores, expected)] + list(zip(scores, expected)):
+            recorded, kinds = _recording_sorts(block)
+            np.testing.assert_array_equal(patterns._stable_smallest(recorded, n_smallest), want)
+            assert ("stable" in kinds) == falls_back, kinds
 
     @pytest.mark.parametrize("rule, partition, t", [
         pytest.param("gyorfi_nn", "trivial", t, id=str(t)) for t in (400, 1400, 2000)

@@ -3,6 +3,8 @@ import math
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
 import threading
 import time
 
@@ -662,3 +664,14 @@ class TestCli:
         assert code == 0
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["stocks"] == "PAIRA/PAIRB"
+
+
+def test_import_leaves_scipy_unloaded():
+    # Every CLI call pays the package import; scipy loads only where the
+    # numeric solver or the two-sided KS p-value runs.
+    code = ("import sys, zeroport, zeroport.cli, zeroport.run; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
