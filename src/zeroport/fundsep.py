@@ -13,7 +13,8 @@ produced without a numeric optimizer:
 
 Fully-invested ("absolute") controls are w_B + w_A pushed back onto the
 probability simplex; zero-cost ("active") controls are w_A rescaled to
-unit L1 leverage, which absorbs gamma.
+unit L1 leverage (:func:`unit_leverage`, the learner's rule for active
+mixtures too), which absorbs gamma.
 
 All functions accept stacked inputs: ``sigma`` of shape (..., M, M) with
 ``mu`` of shape (..., M) solves every instance in one LAPACK call.
@@ -120,39 +121,44 @@ def fund_solution(mu, sigma, eps: float = DEFAULT_RIDGE, assume_deficient=None):
     return x[..., 0], x[..., 1]
 
 
-def _unit_leverage(w):
-    """Rescale rows of w to unit L1 norm; all-zero rows stay zero."""
+def _funds(a, b, gamma):
+    """(w_B, w_A) from the solves ``a = Sigma^-1 1`` and ``b = Sigma^-1 mu``."""
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    sa = a.sum(axis=-1, keepdims=True)
+    lam = b.sum(axis=-1, keepdims=True) / sa
+    return a / sa, (b - a * lam) / gamma
+
+
+def unit_leverage(w):
+    """The zero-cost rule: each row of ``w`` over its L1 norm, or all zeros
+    (cash) where that norm is at most ``ZERO_LEVERAGE_TOL``; a non-finite
+    row stays non-finite.  Agent controls and active mixtures share it."""
     lev = np.abs(w).sum(axis=-1, keepdims=True)
-    live = lev > ZERO_LEVERAGE_TOL
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(live, w / np.where(live, lev, 1.0), 0.0)
+        return np.divide(w, lev, out=np.zeros_like(w), where=~(lev <= ZERO_LEVERAGE_TOL))
 
 
 def controls_from_solution(a, b, mode: str, gamma: float = 1.0,
                            projection: str = "euclidean",
                            absolute_tilt: str = "unit_leverage"):
     """Map fund solves to mode controls; see :func:`agent_controls`."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    sa = a.sum(axis=-1, keepdims=True)
-    lam = b.sum(axis=-1, keepdims=True) / sa
-    w_active = (b - a * lam) / gamma
+    w_bench, w_active = _funds(a, b, gamma)
     if mode == "absolute":
         if absolute_tilt == "unit_leverage":
-            tilt = _unit_leverage(w_active)
+            tilt = unit_leverage(w_active)
         elif absolute_tilt == "gamma":
             tilt = w_active
         else:
             raise ValueError(f"unknown absolute_tilt {absolute_tilt!r}")
-        raw = a / sa + tilt
+        raw = w_bench + tilt
         if projection == "euclidean":
             return project_to_simplex(raw)
         if projection == "clip":
             return clip_renormalize(raw)
         raise ValueError(f"unknown projection {projection!r}")
     if mode == "active":
-        w = w_active - w_active.mean(axis=-1, keepdims=True)
-        return _unit_leverage(w)
+        return unit_leverage(w_active - w_active.mean(axis=-1, keepdims=True))
     raise ValueError(f"unknown portfolio mode {mode!r}")
 
 
@@ -168,11 +174,7 @@ def benchmark_weights(sigma, eps: float = DEFAULT_RIDGE):
 
 def active_weights(mu, sigma, gamma: float = 1.0, eps: float = DEFAULT_RIDGE):
     """Self-funding fund w_A; entries sum to zero by construction."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    a, b = fund_solution(mu, sigma, eps)
-    lam = b.sum(axis=-1, keepdims=True) / a.sum(axis=-1, keepdims=True)
-    return (b - a * lam) / gamma
+    return _funds(*fund_solution(mu, sigma, eps), gamma)[1]
 
 
 def lagrange_multiplier(mu, sigma, gamma: float = 1.0, eps: float = DEFAULT_RIDGE):
@@ -189,10 +191,8 @@ def lagrange_multiplier(mu, sigma, gamma: float = 1.0, eps: float = DEFAULT_RIDG
 
 def mean_variance_weights(mu, sigma, gamma: float = 1.0, eps: float = DEFAULT_RIDGE):
     """Unconstrained-sign optimum w* = w_B + w_A of the quadratic problem."""
-    a, b = fund_solution(mu, sigma, eps)
-    sa = a.sum(axis=-1, keepdims=True)
-    lam = b.sum(axis=-1, keepdims=True) / sa
-    return a / sa + (b - a * lam) / gamma
+    w_bench, w_active = _funds(*fund_solution(mu, sigma, eps), gamma)
+    return w_bench + w_active
 
 
 def project_to_simplex(v):

@@ -10,8 +10,8 @@ and EWMA carry the mixture through a loop over periods with the same row
 rules.
 
 Absolute mode keeps mixtures on the probability simplex; active mode
-de-means them and fixes unit L1 leverage, so the aggregate stays a
-self-funding zero-cost portfolio.
+de-means them to unit L1 leverage (:func:`fundsep.unit_leverage`), so the
+aggregate stays a self-funding zero-cost portfolio.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MODES = ("absolute", "active")
+from .fundsep import ZERO_LEVERAGE_TOL, unit_leverage
 
-NORMALIZATION_TOL = 1e-12
+MODES = ("absolute", "active")
 
 # Periods run in blocks of about this many agent-periods, so that a block's
 # (periods, agents) arrays stay near 2 MB each, even for the universal
@@ -91,9 +91,9 @@ def renormalize_mixture(q, mode: str):
     """Mode normalization of mixtures, one per row along the last axis.
 
     absolute: divide by the sum, keeping a probability vector.  active:
-    subtract the mean and divide by the L1 norm of the deviations, giving
-    sum 0 and unit leverage; an exactly flat mixture maps to all zeros
-    (the portfolio holds cash).
+    subtract the mean and apply :func:`fundsep.unit_leverage`, giving sum 0
+    and unit leverage; a flat mixture maps to all zeros (the portfolio
+    holds cash).
     """
     q = np.asarray(q, dtype=float)
     if mode == "absolute":
@@ -102,10 +102,7 @@ def renormalize_mixture(q, mode: str):
             raise ValueError("absolute mixture must have positive mass")
         return q / total
     if mode == "active":
-        dev = q - q.mean(axis=-1, keepdims=True)
-        lev = np.abs(dev).sum(axis=-1, keepdims=True)
-        cash = lev <= NORMALIZATION_TOL
-        return np.divide(dev, lev, out=np.zeros_like(dev), where=~cash)
+        return unit_leverage(q - q.mean(axis=-1, keepdims=True))
     raise ValueError(f"unknown portfolio mode {mode!r}")
 
 
@@ -121,8 +118,8 @@ def _aggregate(q, h):
     next period is divided by ``scale`` too."""
     b = np.matmul(q[..., None, :], h)[..., 0, :]
     lev = np.abs(b).sum(axis=-1, keepdims=True)
-    cash = lev <= NORMALIZATION_TOL
-    scale = np.where(~cash & (np.abs(lev - 1.0) > NORMALIZATION_TOL), lev, 1.0)
+    cash = lev <= ZERO_LEVERAGE_TOL
+    scale = np.where(~cash & (np.abs(lev - 1.0) > ZERO_LEVERAGE_TOL), lev, 1.0)
     return np.where(cash, 0.0, b / scale), scale, cash[..., 0]
 
 

@@ -287,7 +287,8 @@ def load_relatives_csv(path, delimiter: str = ",") -> PriceRelativeMatrix:
     """Wide pre-computed relatives: header = tickers, T data rows.
 
     This is the passthrough mode for files that already ship relatives
-    (e.g. the public NYSE test sets); no ratios are computed.
+    (e.g. the public NYSE test sets); no ratios are computed.  Blank rows
+    are skipped and, as in :func:`load_csv`, not counted in row numbers.
     """
     rows, rownum = [], 0  # rownum: the last row read
     with closing(_lines(path)) as lines:
@@ -300,9 +301,10 @@ def load_relatives_csv(path, delimiter: str = ",") -> PriceRelativeMatrix:
             tickers = [h.strip() for h in header]
             if not tickers or any(not t for t in tickers):
                 raise DataError("header must name one ticker per column")
-            for rownum, rec in enumerate(reader, start=2):
+            for rec in reader:
                 if not rec or all(not cell.strip() for cell in rec):
                     continue
+                rownum += 1
                 if len(rec) != len(tickers):
                     raise DataError(f"expected {len(tickers)} columns, got {len(rec)}", rownum)
                 try:

@@ -111,6 +111,8 @@ class ClusterMap:
                 raise ValueError(f"cluster {name!r} is empty")
             if arr.min() < 0:
                 raise ValueError(f"cluster {name!r} has negative asset indices")
+            if len(set(arr.tolist())) < arr.size:
+                raise ValueError(f"cluster {name!r} repeats an asset")
 
     @classmethod
     def trivial(cls, n_assets: int) -> "ClusterMap":
@@ -408,7 +410,11 @@ def _prefix_moments(rows, which, lens, cuts):
 
 @dataclass(frozen=True)
 class MatchConfig:
-    """Matching and control-mapping knobs shared by a whole agent family."""
+    """Matching and control-mapping knobs shared by a whole agent family.
+
+    ``gamma`` changes the controls only under ``absolute_tilt="gamma"``;
+    elsewhere :func:`fundsep.unit_leverage` rescales it away, up to rounding.
+    """
 
     rule: str = "trivial"
     partition: str = "trivial"
@@ -592,9 +598,11 @@ class PatternAgents:
 
         def solve(mu, cov, deficient=None):
             a, b = fundsep.fund_solution(mu, cov, eps=cfg.ridge, assume_deficient=deficient)
-            return {mode: fundsep.controls_from_solution(
-                a, b, mode, gamma=cfg.gamma, projection=cfg.projection,
-                absolute_tilt=cfg.absolute_tilt) for mode in modes}
+            # An overflowed row is not finite, so it keeps the fallback (_solve_block).
+            with np.errstate(over="ignore", invalid="ignore"):
+                return {mode: fundsep.controls_from_solution(
+                    a, b, mode, gamma=cfg.gamma, projection=cfg.projection,
+                    absolute_tilt=cfg.absolute_tilt) for mode in modes}
 
         ok = np.ones(mu_b.shape[0], dtype=bool)
         try:
@@ -621,26 +629,29 @@ class PatternAgents:
         order, each agent warm-started from its previous solution.  Each
         (cluster, tau, k) group's agents are dealt round-robin to
         :mod:`forkpool` workers; an agent's warm starts stay in one worker,
-        so the bits do not depend on their number.
+        so the bits do not depend on their number.  Agent-periods without a
+        match keep the fallback and add to :attr:`fallback_count`.
         """
         x = self._history(history)
         parts = forkpool.worker_count(self.n_agents)
         shares = [[{key: group[j::parts] for key, group in groups.items() if len(group) > j}
                    for groups in self._groups] for j in range(parts)]
         out = np.repeat(self._fallback[None], x.shape[0], axis=0)
-        for agents, controls in forkpool.imap(functools.partial(self._numeric_share, x),
-                                              shares, parts):
-            out[:, agents] = controls
+        n_solved = 0
+        for solved in forkpool.imap(functools.partial(self._numeric_share, x), shares, parts):
+            for t, i, w, controls in solved:
+                out[t, i, self._cols[w]] = controls
+            n_solved += len(solved)
+        self._fallbacks += out.shape[0] * self.n_agents - n_solved
         return out
 
     def _numeric_share(self, x, share):
-        """(agents, (T, len(agents), M) controls) of :meth:`controls_numeric`
-        for the agents in ``share``: per cluster, {(tau, k): [(agent index,
-        spec), ...]}."""
+        """The solved (t, agent, cluster, controls) rows of
+        :meth:`controls_numeric` for the agents in ``share``: per cluster,
+        {(tau, k): [(agent index, spec), ...]}."""
         t1 = x.shape[0]
-        out = np.repeat(self._fallback[None], t1, axis=0)
-        warm = {}
-        for cols, groups in zip(self._cols, share):
+        solved, warm = [], {}
+        for w, (cols, groups) in enumerate(zip(self._cols, share)):
             xw = np.ascontiguousarray(x[:, cols])
             for b0 in range(0, t1, _SOLVE_CHUNK):
                 block = _block_selections(xw, b0, min(b0 + _SOLVE_CHUNK, t1), groups,
@@ -649,7 +660,6 @@ class PatternAgents:
                          for p, t in enumerate(periods) for (i, _), n in zip(agents, lens) if n]
                 # A block's periods may come out of t order; warm starts follow t.
                 for t, i, rows in sorted(found, key=lambda item: item[0]):
-                    out[t, i, cols] = warm[i] = fundsep.log_optimal_controls(xw[rows],
-                                                                             x0=warm.get(i))
-        agents = [i for groups in share for group in groups.values() for i, _ in group]
-        return agents, out[:, agents]
+                    warm[i] = fundsep.log_optimal_controls(xw[rows], x0=warm.get(i))
+                    solved.append((t, i, w, warm[i]))
+        return solved

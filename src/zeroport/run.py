@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from . import baselines, forkpool, ksstats, marketdata, synth
-from .learner import BankruptcyError, MixtureRule, WealthTrack, run_backtest, write_csv
+from .learner import MODES, BankruptcyError, MixtureRule, WealthTrack, run_backtest, write_csv
 from .patterns import ClusterMap, MatchConfig, PatternAgents, agent_grid
 
 SPEC_VERSION = 1
@@ -95,7 +95,7 @@ _RULES = {
     dict: (lambda v: True, "must be a mapping"),
 }
 LIMITS = {
-    "mode": (lambda v: v in ("absolute", "active"), "must be absolute | active"),
+    "mode": (lambda v: v in MODES, f"must be {' | '.join(MODES)}"),
     "data.case": (lambda v: v in synth.CASES, f"must be one of {synth.CASES}"),
     "data.periods": (lambda v: v >= 2, "must be an integer >= 2"),
     "data.delimiter": (lambda v: len(v) == 1, "must be one character"),
@@ -194,8 +194,9 @@ def config_from_dict(doc: dict) -> RunConfig:
     if clusters is not None:
         _expect(clusters, "clusters", "must be a nonempty mapping of name -> ticker list")
         for name, group in clusters.items():
-            _expect(isinstance(group, list) and group and all(isinstance(t, str) for t in group),
-                    f"clusters.{name}", "must be a nonempty list of tickers")
+            _expect(isinstance(group, list) and group and all(isinstance(t, str) for t in group)
+                    and len(set(group)) == len(group),
+                    f"clusters.{name}", "must be a nonempty list of distinct tickers")
 
     for name, cls in SECTION_TYPES.items():
         try:
@@ -381,7 +382,7 @@ def _write_wealth_csv(path, track, extra_tracks, net_track):
 # -- batch mode -------------------------------------------------------------
 
 
-def run_case_seed(cfg: RunConfig, case: str, seed: int, modes=("absolute", "active")):
+def run_case_seed(cfg: RunConfig, case: str, seed: int, modes=MODES):
     """Both portfolio modes on one seeded case, sharing the matching pass.
 
     Returns {mode: RunTriple}, the trajectories the KS battery consumes:
@@ -405,7 +406,7 @@ def run_case_seed(cfg: RunConfig, case: str, seed: int, modes=("absolute", "acti
 
 
 def batch(cfg: RunConfig, outdir=None, cases=synth.CASES, seeds=range(1, 31),
-          modes=("absolute", "active")) -> dict:
+          modes=MODES) -> dict:
     """Seed sweep over synthetic cases plus the KS battery and cross tables.
 
     The (case, seed) runs go to :mod:`forkpool` workers, one per usable core

@@ -4,9 +4,11 @@
 internals (``_group_selections``, ``_stable_smallest``); a refactor that
 renames or reshapes them would break the benchmark without failing any
 other test.  This runs the benchmark's tracer and engine checks on a small
-input.
+input, and the benchmark's own self-test, which shows that its checks can
+still fail.
 """
 
+import subprocess
 import sys
 
 import numpy as np
@@ -27,6 +29,14 @@ PERIODS = 60
 @pytest.fixture
 def market():
     return synth.generate(synth.SynthSpec(case="SDC3", assets=4, periods=PERIODS, seed=4)).values
+
+
+def test_benchmark_selftest_passes():
+    # Every clean tiny round passes its checks and every planted fault is caught.
+    done = subprocess.run([sys.executable, str(REPO_ROOT / "benchmarks" / "selftest.py")],
+                          cwd=REPO_ROOT, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
+    assert "self-test passed" in done.stdout
 
 
 def test_tracer_installs_counts_and_uninstalls(market):

@@ -3,14 +3,17 @@
 Documents start from a small valid synthetic config and get a few keys set
 to values drawn from every YAML type (or, now and then, are replaced
 outright).  The keys come from a list written out here, not from the key
-table under test, plus unknown ones.
+table under test, plus unknown ones.  A small synthetic run that succeeds
+must keep its mode's control rules in every period.
 """
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from zeroport.learner import BankruptcyError
+from zeroport.learner import MODES, BankruptcyError, run_backtest
 from zeroport.marketdata import DataError
-from zeroport.run import ConfigError, build_dataset, build_engine, config_from_dict, run
+from zeroport.run import (ConfigError, build_dataset, build_engine, config_from_dict,
+                          pattern_controls, run)
 
 KNOWN = [
     "spec_version", "mode", "output", "record_agents", "clusters", "clusters.A", "clusters.B",
@@ -91,9 +94,12 @@ def _small(cfg):
 
 
 @PROPERTY
-@given(documents(st.sampled_from(KNOWN), most=2))
-def test_small_synthetic_run_raises_only_config_data_or_bankruptcy_error(doc):
-    """Building the data and the engine, then the run itself."""
+@given(documents(st.sampled_from(KNOWN), most=2), st.sampled_from(MODES))
+def test_small_synthetic_run_raises_only_config_data_or_bankruptcy_error(doc, mode):
+    """Building the data and the engine, then the run itself, in ``mode``
+    unless the document sets one."""
+    if isinstance(doc, dict):
+        doc.setdefault("mode", mode)
     try:
         cfg = config_from_dict(doc)
     except ConfigError:
@@ -104,4 +110,22 @@ def test_small_synthetic_run_raises_only_config_data_or_bankruptcy_error(doc):
         build_engine(cfg, build_dataset(cfg))
         run(cfg)
     except (ConfigError, DataError, BankruptcyError):
-        pass
+        return
+    _assert_control_rules(cfg)
+
+
+def _assert_control_rules(cfg, tol=1e-12):
+    """Every agent row and the portfolio controls of every period, built as
+    :func:`run` builds them: on the simplex in absolute mode; sum 0 and unit
+    L1 leverage, or exactly 0 (cash), in active mode."""
+    matrix = build_dataset(cfg)
+    agents = pattern_controls(matrix, build_engine(cfg, matrix), (cfg.mode,))[cfg.mode]
+    portfolio = run_backtest(matrix, agents, cfg.mode, cfg.rule).controls
+    for name, rows in (("agents", agents), ("portfolio", portfolio)):
+        sums, lev = rows.sum(axis=-1), np.abs(rows).sum(axis=-1)
+        if cfg.mode == "absolute":
+            assert (rows >= 0.0).all(), name
+            assert (np.abs(sums - 1.0) <= tol).all(), (name, np.abs(sums - 1.0).max())
+        else:
+            assert (np.abs(sums) <= tol).all(), (name, np.abs(sums).max())
+            assert ((np.abs(lev - 1.0) <= tol) | (lev == 0.0)).all(), name

@@ -98,6 +98,14 @@ class TestAgentControls:
         h = fundsep.agent_controls(np.full(4, 0.01), np.eye(4), "active")
         np.testing.assert_array_equal(h, np.zeros(4))
 
+    def test_unit_leverage_cash_and_non_finite_rows(self):
+        # Unit L1 rows, cash at or below the tolerance, and a non-finite row
+        # left non-finite, so the engine's rule gives it the fallback.
+        w = np.array([[1.0, -3.0], [1e-13, -1e-13], [np.nan, 1.0], [np.inf, -1.0]])
+        got = fundsep.unit_leverage(w)
+        np.testing.assert_array_equal(got[:2], [[0.25, -0.75], [0.0, 0.0]])
+        assert not np.isfinite(got[2:]).all(axis=1).any()
+
     def test_absolute_on_simplex_random(self, rng):
         for _ in range(200):
             m = rng.integers(2, 7)

@@ -276,6 +276,16 @@ class TestRelativesCsv:
         with pytest.raises(DataError, match="row 3"):
             load_relatives_csv(path)
 
+    def test_blank_lines_not_counted_in_row_number(self, tmp_path):
+        # The bad row is on line 5, after two blank lines: row 3, as load_csv counts.
+        path = tmp_path / "wide.csv"
+        path.write_text("A,B\n1.0,1.1\n\n\n1.0,x\n")
+        with pytest.raises(DataError, match="row 3: unparsable relative"):
+            load_relatives_csv(path)
+        path.write_text("A,B\n\n1.0,1.0\n\n1.0," + "1" * 131_073 + "\n")  # past csv's field limit
+        with pytest.raises(DataError, match="row 3: malformed CSV"):
+            load_relatives_csv(path)
+
     def test_nonpositive_rejected(self, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("A,B\n1.0,-0.5\n")

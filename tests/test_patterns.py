@@ -158,6 +158,8 @@ class TestGrid:
         assert cmap.members == ((1, 2), (0,))
         with pytest.raises(ValueError):
             ClusterMap.from_tickers({"FIN": ["Z"]}, ["A"])
+        with pytest.raises(ValueError, match="repeats an asset"):
+            ClusterMap.from_tickers({"FIN": ["A", "A"]}, ["A"])
 
 
 class TestMatchConfig:
@@ -258,6 +260,7 @@ class TestGenerateControls:
                     expected[cols] = warm[i]
                 assert got[t, i].tobytes() == expected.tobytes(), (t, spec)
         assert 0 < fell_back < 60 * len(specs)
+        assert engine.fallback_count == fell_back
 
     def test_non_finite_controls_fall_back_per_mode(self, rng):
         # gamma=1e-300 overflows w_active / gamma for most agents; the rows

@@ -353,19 +353,21 @@ class TestCli:
         assert out["portfolio"]["terminal_wealth"] > 0
 
     def test_overflowing_controls_fall_back(self, capsys):
-        # gamma=1e-300 overflows the active fund; those agents keep the fallback.
-        code = cli.main(["run", str(REPO_ROOT / "configs" / "synth_run.yaml"),
-                         "--set", "data.periods=200", "--set", "mode=absolute",
-                         "--set", "matching.gamma=1e-300"])
-        assert code == 0
-        captured = capsys.readouterr()
-        out = json.loads(captured.out)
-        assert math.isfinite(out["portfolio"]["terminal_wealth"])
-        assert 2 * out["agent_fallbacks"] > out["agent_periods"]
-        # Most of these fallbacks are non-finite controls, not a short history.
-        assert (f"warning: {out['agent_fallbacks']} of {out['agent_periods']} agent-periods fell "
-                "back to the default control: the history is short for the agent grid, or "
-                "their controls were not finite") in captured.err
+        # gamma=1e-300 overflows the active fund; those agents keep the
+        # fallback and are counted, in both modes.
+        for mode in ("absolute", "active"):
+            code = cli.main(["run", str(REPO_ROOT / "configs" / "synth_run.yaml"),
+                             "--set", "data.periods=200", "--set", f"mode={mode}",
+                             "--set", "matching.gamma=1e-300"])
+            assert code == 0
+            captured = capsys.readouterr()
+            out = json.loads(captured.out)
+            assert math.isfinite(out["portfolio"]["terminal_wealth"])
+            assert 2 * out["agent_fallbacks"] > out["agent_periods"], mode
+            # Most of these fallbacks are non-finite controls, not a short history.
+            assert (f"warning: {out['agent_fallbacks']} of {out['agent_periods']} agent-periods "
+                    "fell back to the default control: the history is short for the agent "
+                    "grid, or their controls were not finite") in captured.err
 
     def test_cli_override(self, tmp_path, capsys):
         config = tmp_path / "cfg.yaml"
@@ -486,6 +488,7 @@ class TestCli:
         (["data.tickers=[ZZZ]"], "data.tickers"),
         (["clusters.A=[ZZZ]"], "clusters.A"),
         (["clusters.A=[S01]", "clusters.B=[]"], "clusters.B"),
+        (["clusters.A=[S01, S01]"], "clusters.A"),
     ])
     def test_bad_data_or_cluster_exit_two(self, tmp_path, overrides, path, capsys):
         config = tmp_path / "cfg.yaml"
