@@ -7,7 +7,10 @@ mode, the next portfolio controls aggregated from the next agent controls
 at unit leverage (or cash), then portfolio wealth, drift and turnover.
 Under the universal rule each step is one array operation per block; EG
 and EWMA carry the mixture through a loop over periods with the same row
-rules.
+rules.  The agent controls arrive as an array or as a stream of row
+blocks, each used as it arrives: a block's first controls come from the
+mixture carried over from the block before, so no block waits for the
+next, and the bits do not depend on the blocking.
 
 Absolute mode keeps mixtures on the probability simplex; active mode
 de-means them to unit L1 leverage (:func:`fundsep.unit_leverage`), so the
@@ -17,6 +20,7 @@ aggregate stays a self-funding zero-cost portfolio.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -189,16 +193,48 @@ def write_csv(path, header, rows):
             fh.write(",".join(map(repr, row)) + "\r\n")
 
 
+def _row_blocks(controls, t_total: int, m: int):
+    """Yield the control rows of periods 0 .. t_total - 1 in blocks of at
+    most :data:`BLOCK_AGENT_PERIODS` agent-periods.
+
+    ``controls`` is a (T, N, M) array, walked as views, or an iterable of
+    (k, N, M) row blocks in period order, read no further than period
+    t_total - 1.  A wrong shape or a stream that ends early raises
+    ``ValueError``.
+    """
+    if isinstance(controls, np.ndarray):
+        if controls.ndim != 3 or controls.shape[0] < t_total:
+            raise ValueError(f"controls array must be (T, N, M) with T >= {t_total}")
+        controls = (controls[:t_total],)
+    t, shape = 0, None
+    for block in controls:
+        block = np.asarray(block, dtype=float)[:t_total - t]
+        if shape is None:
+            shape = block.shape[1:]
+        if block.ndim != 3 or block.shape[1:] != shape or shape[1] != m:
+            raise ValueError(f"control blocks must be (k, N, {m}) with one N")
+        rows = max(1, BLOCK_AGENT_PERIODS // shape[0])
+        for i in range(0, block.shape[0], rows):
+            yield block[i:i + rows]
+        t += block.shape[0]
+        if t == t_total:
+            return
+    raise ValueError(f"controls end after {t} of {t_total} periods")
+
+
 def run_backtest(x, controls, mode: str, rule: MixtureRule = MixtureRule(),
                  record_agents: bool = True, label: str = "portfolio") -> WealthTrack:
     """Run the learner over a full history of price relatives.
 
-    ``controls`` is a (T, N, M) array: row t holds the agent control
-    matrices formed from the first t periods.  Initial portfolio controls
-    are uniform in absolute mode and all-cash in active mode.  The first
-    period whose portfolio wealth or agent wealth is not finite and
-    positive, or whose refreshed mixture is not finite, raises
-    :class:`BankruptcyError`, checked in that order.
+    ``controls`` holds the agent control matrices of every period, row t
+    formed from the first t periods: a (T, N, M) array, or an iterable of
+    (k, N, M) row blocks in period order, each block used as it arrives,
+    so that the whole stack is never held.  The bits do not depend on how
+    the rows are blocked.  Initial portfolio controls are uniform in
+    absolute mode and all-cash in active mode.  The first period whose
+    portfolio wealth or agent wealth is not finite and positive, or whose
+    refreshed mixture is not finite, raises :class:`BankruptcyError`,
+    checked in that order.
     """
     x = np.asarray(getattr(x, "values", x), dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -208,41 +244,48 @@ def run_backtest(x, controls, mode: str, rule: MixtureRule = MixtureRule(),
     if mode not in MODES:
         raise ValueError(f"unknown portfolio mode {mode!r}")
     t_total, m = x.shape
-    controls = np.asarray(controls, dtype=float)
-    if controls.ndim != 3 or controls.shape[0] < t_total:
-        raise ValueError(f"controls array must be (T, N, M) with T >= {t_total}")
-    n_agents = controls.shape[1]
+    blocks = _row_blocks(controls, t_total, m)
+    first = next(blocks)
+    n_agents = first.shape[1]
 
     wealth, growth = np.empty(t_total), np.empty(t_total)
     agent_wealth = np.empty((t_total, n_agents)) if record_agents else None
     b_hist = np.empty((t_total, m))
-    hold_cash = np.zeros(t_total, dtype=bool)
+    cash = np.zeros(t_total + 1, dtype=bool)  # cash[t]: b_hist[t] is all cash
 
     # A uniform initial mixture keeps EG/EWMA well-defined; the universal
     # rule discards it and active mode de-means it to hold-cash.
     uniform = np.full(n_agents, 1.0 / n_agents)
     q, s, s_port = uniform, np.ones(n_agents), 1.0
     b_hist[0] = 1.0 / m if mode == "absolute" else 0.0
-    rows = max(1, BLOCK_AGENT_PERIODS // n_agents)
+    t0 = 0
     # Values past a block's first bad period are computed, then discarded.
     with np.errstate(all="ignore"):
-        for t0 in range(0, t_total, rows):
-            k = min(rows, t_total - t0)
+        for h in itertools.chain((first,), blocks):
+            k = h.shape[0]
             dx = x[t0:t0 + k] - 1.0
             # Row by row: np.cumprod along axis 0 walks a wide block column
             # by column, and a sequential product keeps the loop's bits.
-            s_rows = np.matmul(controls[t0:t0 + k], dx[:, :, None])[:, :, 0]
+            s_rows = np.matmul(h, dx[:, :, None])[:, :, 0]
             for row in np.add(s_rows, 1.0, out=s_rows):
                 s = np.multiply(s, row, out=row)
             bad = _not_positive(s_rows).any(axis=1)
             stop = int(bad.argmax()) if bad.any() else k  # the first bad agent period
 
-            n_next = min(stop, t_total - 1 - t0)  # periods whose next controls are set here
-            h_next, b_next, cash = (controls[t0 + 1:t0 + 1 + n_next],
-                                    b_hist[t0 + 1:t0 + 1 + n_next], hold_cash[t0:t0 + n_next])
+            # q is the mixture after period t0 - 1: it sets the block's first
+            # controls, and each later period's mixture the controls after it.
+            # EG and EWMA carry q on, rescaled as the controls were.
+            if t0:
+                b_hist[t0], scale, cash[t0] = _aggregate(q, h[0])
+                if rule.name != "universal":
+                    q = q / scale
             if rule.name == "universal":
-                b_next[:], _, cash[:] = _aggregate(
-                    renormalize_mixture(mixture_update(q, s_rows[:n_next], rule), mode), h_next)
+                n_next = min(stop, k - 1)  # mixtures whose next controls are in this block
+                mix = renormalize_mixture(mixture_update(q, s_rows[:stop], rule), mode)
+                b_hist[t0 + 1:t0 + 1 + n_next], _, cash[t0 + 1:t0 + 1 + n_next] = _aggregate(
+                    mix[:n_next], h[1:1 + n_next])
+                if stop == k:
+                    q = mix[-1]
             else:
                 for i in range(stop):
                     # A hold-cash (all-zero) mixture restarts from uniform:
@@ -252,8 +295,8 @@ def run_backtest(x, controls, mode: str, rule: MixtureRule = MixtureRule(),
                         stop = i
                         break
                     q = renormalize_mixture(q, mode)
-                    if i < n_next:
-                        b_next[i], scale, cash[i] = _aggregate(q, h_next[i])
+                    if i + 1 < k:
+                        b_hist[t0 + i + 1], scale, cash[t0 + i + 1] = _aggregate(q, h[i + 1])
                         q = q / scale
 
             end = min(stop + 1, k)  # through the first bad period, if any
@@ -272,9 +315,11 @@ def run_backtest(x, controls, mode: str, rule: MixtureRule = MixtureRule(),
             s_port = w[-1]
             if record_agents:
                 agent_wealth[t0:t0 + k] = s_rows
+            t0 += k
 
     drift = b_hist * x / growth[:, None]
     turnover = np.abs(b_hist - np.vstack((np.zeros(m), drift[:-1]))).sum(axis=1)
+    # hold_cash[t]: the controls set after period t are cash; none after the last.
     return WealthTrack(wealth=wealth, controls=b_hist, turnover=turnover,
-                       hold_cash=hold_cash, mode=mode, agent_wealth=agent_wealth,
+                       hold_cash=cash[1:], mode=mode, agent_wealth=agent_wealth,
                        label=label)

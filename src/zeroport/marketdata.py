@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from contextlib import closing
 from dataclasses import dataclass, replace
 from datetime import datetime
@@ -139,6 +140,8 @@ def load_csv(path, schema: dict | None = None, delimiter: str = ",") -> list:
     """
     cols = dict(DEFAULT_SCHEMA, **(schema or {}))
     fields = ("open", "high", "low", "close")
+    # ticker -> columns in file order: timestamps, the four prices of each
+    # row in turn, missing flags and row numbers.
     per_ticker: dict = {}
     parsed: dict = {}  # timestamp text -> datetime, each parsed once
     rownum = 0  # the last row read
@@ -169,38 +172,43 @@ def load_csv(path, schema: dict | None = None, delimiter: str = ",") -> list:
                 ts = parsed.get(raw)
                 if ts is None:
                     ts = parsed[raw] = _parse_timestamp(raw, rownum)
-                prices = []
-                missing = False
+                columns = per_ticker.get(ticker)
+                if columns is None:
+                    columns = per_ticker[ticker] = ([], array("d"), bytearray(), array("q"))
+                stamps, prices, missing, rows = columns
+                flag = False
                 for f, i in zip(fields, i_prices):
                     raw = rec[i].strip()
                     if raw == "" or raw.lower() == "nan":
                         prices.append(math.nan)
-                        missing = True
+                        flag = True
                         continue
                     try:
                         val = float(raw)
                     except ValueError as exc:
                         raise DataError(f"unparsable {f} price {raw!r}", rownum) from exc
                     if not 0 < val < math.inf:
-                        missing = True
+                        flag = True
                     prices.append(val)
-                per_ticker.setdefault(ticker, []).append((ts, prices, missing, rownum))
+                stamps.append(ts)
+                missing.append(flag)
+                rows.append(rownum)
         except csv.Error as exc:
             raise DataError(f"malformed CSV: {exc}", rownum + 1) from exc
 
     out = []
     for ticker in sorted(per_ticker):
-        rows = sorted(per_ticker[ticker], key=lambda item: item[0])
-        for (ts1, _, _, r1), (ts2, _, _, r2) in zip(rows, rows[1:]):
-            if ts1 == ts2:
-                raise DataError(f"duplicate timestamp {ts1.isoformat()} for {ticker}", r2)
-        stamps = tuple(r[0] for r in rows)
-        arr = np.array([r[1] for r in rows], dtype=float)
-        missing = np.array([r[2] for r in rows], dtype=bool)
+        stamps, prices, missing, rows = per_ticker[ticker]
+        order = sorted(range(len(stamps)), key=stamps.__getitem__)  # stable: file order on ties
+        for a, b in zip(order, order[1:]):
+            if stamps[a] == stamps[b]:
+                raise DataError(f"duplicate timestamp {stamps[a].isoformat()} for {ticker}",
+                                rows[b])
+        arr = np.frombuffer(prices, dtype=float).reshape(-1, len(fields))[order]
         out.append(OhlcSeries(
-            ticker=ticker, timestamps=stamps,
+            ticker=ticker, timestamps=tuple(stamps[i] for i in order),
             open=arr[:, 0], high=arr[:, 1], low=arr[:, 2], close=arr[:, 3],
-            missing=missing,
+            missing=np.frombuffer(missing, dtype=bool)[order],
         ))
     return out
 

@@ -33,11 +33,16 @@ The (cluster, block) tasks are independent, so a series runs them in
 forked workers (:mod:`forkpool`, one per usable core, with at least
 ``_TASKS_PER_WORKER`` blocks each); the numeric solver deals each group's
 agents to workers instead.  Either way the bits do not depend on the
-worker count.
+worker count.  The tasks run block by block, every cluster of a block
+before the next block, and :meth:`PatternAgents.control_blocks` yields
+each block's controls once its clusters are in, so a consumer such as
+the learner never needs the whole (T, N, M) stack;
+:meth:`PatternAgents.controls_series` fills the stacks from that stream.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import logging
 from dataclasses import dataclass
@@ -512,7 +517,7 @@ class PatternAgents:
             ids = np.repeat(ids, [len(ts) for ts in periods], axis=0).ravel()
             lens = np.tile(key, rows.shape[0])
             n = max(key)
-            cuts = np.arange(1, n + 1) if n <= self.levels else np.unique(key)
+            cuts = np.arange(1, n + 1) if n <= self.levels else np.array(sorted(set(key)))
             parts.append((np.concatenate(periods)[which], ids, lens,
                           *_prefix_moments(xw[rows], which, lens, cuts)))
         periods, agents, lens, mus, covs = (np.concatenate(col) for col in zip(*parts))
@@ -529,46 +534,70 @@ class PatternAgents:
     def controls_multi(self, history, modes=("absolute", "active")):
         """Control matrices for several portfolio modes off one matching pass."""
         x = self._history(history)
-        stacks = self._controls(x, x.shape[0], x.shape[0] + 1, modes)
-        return {mode: stack[0] for mode, stack in stacks.items()}
+        (block,) = self._controls(x, x.shape[0], x.shape[0] + 1, modes)
+        return {mode: rows[0] for mode, rows in block.items()}
+
+    def control_blocks(self, history, modes=("absolute", "active")):
+        """Yield {mode: (k, N, M) controls} for every period, one block of
+        ``_SOLVE_CHUNK`` periods at a time, in period order.
+
+        Row t uses only x[:t], with the bits of :meth:`controls_series`.
+        Close the generator if it is left before its end: a forked pool
+        may be running behind it.
+        """
+        x = self._history(history)
+        return self._controls(x, 0, x.shape[0], modes)
 
     def controls_series(self, history, modes=("absolute", "active")):
         """(T, N, M) control stacks for every period, batching the solver.
 
         Period t's controls use only x[:t], exactly as repeated
-        :meth:`controls_multi` calls would (bit-identically so).
+        :meth:`controls_multi` calls would (bit-identically so).  The
+        stacks are filled from :meth:`control_blocks` one block at a time.
         """
         x = self._history(history)
-        return self._controls(x, 0, x.shape[0], modes)
+        t_total = x.shape[0]
+        out = {mode: np.empty((t_total, self.n_agents, self.n_assets)) for mode in modes}
+        t0 = 0
+        for block in self._controls(x, 0, t_total, modes):
+            t1 = min(t0 + _SOLVE_CHUNK, t_total)
+            for mode, rows in block.items():
+                out[mode][t0:t1] = rows
+            t0 = t1
+        return out
 
     def _controls(self, x, t0, t1, modes):
-        """Control stacks for history lengths t0 <= t < t1, one slot each.
+        """Yield {mode: controls} for history lengths t0 <= t < t1, one block
+        of ``_SOLVE_CHUNK`` periods at a time.
 
-        Every slot starts at the fallback; each (cluster, block of
-        ``_SOLVE_CHUNK`` periods) task of :meth:`_solve_block` overwrites
-        the slots of its solved agents.  The tasks go to :mod:`forkpool`
-        workers when each worker gets at least ``_TASKS_PER_WORKER``; each
-        block's rows are scattered as they arrive and then dropped, not held
-        until every block is done.
+        Every slot of a block starts at the fallback; each (cluster, block)
+        task of :meth:`_solve_block` overwrites the slots of its solved
+        agents.  The tasks run block-major, so a block is complete after
+        each ``len(clusters)`` results, and go to :mod:`forkpool` workers
+        when each worker gets at least ``_TASKS_PER_WORKER``.  Closing the
+        generator closes the pool.
         """
-        out = {mode: np.zeros((t1 - t0, self.n_agents, self.n_assets)) for mode in modes}
-        if "absolute" in out:
-            out["absolute"][:] = self._fallback
         xws = [np.ascontiguousarray(x[:, cols]) for cols in self._cols]  # row-major for the scans
-        tasks = [(w, b0) for w in range(len(self._cols)) for b0 in range(t0, t1, _SOLVE_CHUNK)]
+        starts = range(t0, t1, _SOLVE_CHUNK)
+        tasks = [(w, b0) for b0 in starts for w in range(len(self._cols))]
         workers = forkpool.worker_count(len(tasks), _TASKS_PER_WORKER)
         solve = functools.partial(self._solve_block, xws, t1, modes)
-        for (w, b0), rows in zip(tasks, forkpool.imap(solve, tasks, workers)):
-            b1 = min(b0 + _SOLVE_CHUNK, t1)
-            n_agents = sum(len(group) for group in self._groups[w].values())
-            fell_back = (b1 - b0) * n_agents * len(modes)
-            for mode, (periods, agents, ctrl) in rows.items():
-                out[mode][(periods - t0)[:, None], agents[:, None], self._cols[w]] = ctrl
-                fell_back -= periods.size
-            self._fallbacks += fell_back
-            if fell_back:
-                log.debug("%d fallback controls at t in [%d, %d)", fell_back, b0, b1)
-        return out
+        with contextlib.closing(forkpool.imap(solve, tasks, workers)) as results:
+            for b0 in starts:
+                b1 = min(b0 + _SOLVE_CHUNK, t1)
+                block = {mode: np.zeros((b1 - b0, self.n_agents, self.n_assets))
+                         for mode in modes}
+                if "absolute" in block:
+                    block["absolute"][:] = self._fallback
+                for w, groups in enumerate(self._groups):
+                    fell_back = (b1 - b0) * len(modes) * sum(map(len, groups.values()))
+                    for mode, (periods, agents, ctrl) in next(results).items():
+                        block[mode][(periods - b0)[:, None], agents[:, None], self._cols[w]] = ctrl
+                        fell_back -= periods.size
+                    self._fallbacks += fell_back
+                    if fell_back:
+                        log.debug("%d fallback controls at t in [%d, %d)", fell_back, b0, b1)
+                yield block
 
     def _solve_block(self, xws, t1, modes, task):
         """{mode: (periods, agents, controls)} of the agents of cluster w

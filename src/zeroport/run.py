@@ -4,12 +4,16 @@ A run config is one declarative YAML/JSON document (versioned by
 ``spec_version``); CLI flags override keys one-for-one.  Artifacts per run:
 ``wealth.csv`` (portfolio plus enabled baselines), ``agents.csv`` (per-agent
 wealth), ``summary.json`` (terminal wealths, best agent, runtimes) and,
-for CSV-backed data, ``cleaning_report.json``.  Batch mode sweeps seeds and
-cases, then writes the KS battery and cross-case tables as ``stats*.csv``.
+for CSV-backed data, ``cleaning_report.json``.  A single run streams the
+engine's control blocks into the learner as they are solved, so it never
+holds the (T, N, M) control stack.  Batch mode sweeps seeds and cases,
+each case-seed running both modes from one stack, then writes the KS
+battery and cross-case tables as ``stats*.csv``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import csv
 import json
@@ -288,8 +292,18 @@ def build_engine(cfg: RunConfig, matrix) -> PatternAgents:
 
 
 def pattern_controls(x, engine: PatternAgents, modes) -> dict:
-    """Precompute (T, N, M) control stacks for each mode in one matching pass."""
+    """(T, N, M) control stacks for each mode from one matching pass; for
+    several modes of one history, as :func:`run_case_seed` needs."""
     return engine.controls_series(x, modes)
+
+
+def _backtest(x, engine: PatternAgents, mode: str, rule: MixtureRule = MixtureRule(),
+              **kwargs) -> WealthTrack:
+    """:func:`run_backtest` fed the engine's control blocks as they are
+    solved, so the (T, N, M) stack is never held.  The stream, and any
+    worker pool behind it, is closed when the backtest returns or raises."""
+    with contextlib.closing(engine.control_blocks(x, (mode,))) as blocks:
+        return run_backtest(x, (block[mode] for block in blocks), mode, rule, **kwargs)
 
 
 def apply_frictions(track: WealthTrack, cost_bps: float,
@@ -319,9 +333,8 @@ def run(cfg: RunConfig, outdir=None) -> dict:
     t0 = time.perf_counter()
     matrix = build_dataset(cfg)
     engine = build_engine(cfg, matrix)
-    controls = pattern_controls(matrix, engine, (cfg.mode,))[cfg.mode]
-    track = run_backtest(matrix, controls, cfg.mode, cfg.rule,
-                         record_agents=cfg.record_agents, label=cfg.mode)
+    track = _backtest(matrix, engine, cfg.mode, cfg.rule,
+                      record_agents=cfg.record_agents, label=cfg.mode)
     runtimes = {cfg.mode: time.perf_counter() - t0}
 
     extra_tracks = {}
@@ -505,8 +518,7 @@ def nyse_table(data_path, pairs=DEFAULT_PAIRS, resolution=baselines.DEFAULT_RESO
                                   ("nn_recovery", "absolute", "gyorfi_nn")):
             t0 = time.perf_counter()
             engine = PatternAgents(specs, len(pair), config=MatchConfig(rule=rule))
-            controls = pattern_controls(sub, engine, (mode,))[mode]
-            track = run_backtest(sub, controls, mode, label=label)
+            track = _backtest(sub, engine, mode, label=label)
             secs = time.perf_counter() - t0
             _, best = baselines.best_agent(track)
             row["strategies"][label] = {"wealth": track.terminal, "best_agent": best,

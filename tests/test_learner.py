@@ -288,6 +288,73 @@ class TestRunBacktest:
             run_backtest(np.ones((1, 2)), np.full((1, 1, 2), 0.5), "absolute")
 
 
+def _blocks(stack, size):
+    """A stack as a generator of row blocks of ``size`` periods."""
+    return (stack[t:t + size] for t in range(0, len(stack), size))
+
+
+class TestControlStreams:
+    FIELDS = ("wealth", "agent_wealth", "controls", "turnover", "hold_cash")
+
+    @pytest.mark.parametrize("size", [1, 5, 32, 70])
+    def test_streams_equal_the_array_call_byte_for_byte(self, rng, size):
+        t, m, n_agents = 70, 3, 4
+        x = np.exp(rng.normal(0, 0.03, size=(t, m)))
+        h_act = rng.normal(size=(t, n_agents, m))
+        h_act -= h_act.mean(axis=2, keepdims=True)
+        h_act /= np.abs(h_act).sum(axis=2, keepdims=True)
+        h_act[10:13, 1:] = h_act[10:13, :1]  # equal agents: an active mixture of cash
+        stacks = {"absolute": rng.dirichlet(np.ones(m), size=(t, n_agents)), "active": h_act}
+        for rule in (MixtureRule("universal"), MixtureRule("eg", eta=0.1), MixtureRule("ewma")):
+            for mode in MODES:
+                whole = run_backtest(x, stacks[mode], mode, rule)
+                streamed = run_backtest(x, _blocks(stacks[mode], size), mode, rule)
+                for f in self.FIELDS:
+                    assert getattr(streamed, f).tobytes() == getattr(whole, f).tobytes(), \
+                        (rule.name, mode, f)
+
+    def test_learner_blocks_inside_a_stream_block(self, rng, monkeypatch):
+        x = np.exp(rng.normal(0, 0.03, size=(40, 2)))
+        h = rng.dirichlet(np.ones(2), size=(40, 3))
+        whole = run_backtest(x, h, "absolute")
+        monkeypatch.setattr(learner, "BLOCK_AGENT_PERIODS", 12)  # 4 periods a learner block
+        streamed = run_backtest(x, _blocks(h, 10), "absolute")
+        for f in self.FIELDS:
+            assert getattr(streamed, f).tobytes() == getattr(whole, f).tobytes(), f
+
+    @pytest.mark.parametrize("rule", [MixtureRule("universal"), MixtureRule("eg", eta=0.1)])
+    def test_bankruptcy_in_a_later_block(self, rule):
+        x = np.tile([0.25, 1.0], (600, 1))
+        h = np.zeros((600, 2, 2))
+        h[:, 0, 0] = h[:, 1, 1] = 1.0
+        for controls in (h, _blocks(h, 32), _blocks(h, 7)):
+            with pytest.raises(BankruptcyError, match="^agent 0 wealth is 0 at period 537$"):
+                run_backtest(x, controls, "absolute", rule)
+
+    def test_stream_shorter_than_history(self, rng):
+        x = np.exp(rng.normal(0, 0.02, size=(20, 2)))
+        h = rng.dirichlet(np.ones(2), size=(19, 3))
+        with pytest.raises(ValueError, match="^controls end after 19 of 20 periods$"):
+            run_backtest(x, _blocks(h, 5), "absolute")
+        with pytest.raises(ValueError, match="^controls end after 0 of 20 periods$"):
+            run_backtest(x, iter(()), "absolute")
+
+    def test_stream_read_no_further_than_the_history(self, rng):
+        x = np.exp(rng.normal(0, 0.02, size=(20, 2)))
+        h = rng.dirichlet(np.ones(2), size=(40, 3))
+        blocks = _blocks(h, 8)
+        track = run_backtest(x, blocks, "absolute")
+        assert track.wealth.tobytes() == run_backtest(x, h, "absolute").wealth.tobytes()
+        assert next(blocks).tobytes() == h[24:32].tobytes()  # blocks 0-2 cover 20 periods
+
+    @pytest.mark.parametrize("shapes", [[(5, 3, 2), (5, 4, 2)], [(5, 3, 2), (5, 3, 3)],
+                                        [(5, 3)]])
+    def test_stream_block_shapes_checked(self, shapes):
+        x = np.full((10, 2), 1.01)
+        with pytest.raises(ValueError, match="control blocks must be"):
+            run_backtest(x, (np.full(shape, 0.5) for shape in shapes), "absolute")
+
+
 class TestWealthTrack:
     def test_csv_round_trip(self, tmp_path, rng):
         x = np.exp(rng.normal(0, 0.02, size=(9, 2)))

@@ -75,6 +75,28 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 3"):
             load_csv(path)
 
+    def test_unsorted_interleaved_rows_and_duplicate_row(self, tmp_path):
+        body = ("BBB,2001-01-02,5,6,4,5\n"
+                "AAA,2001-01-03,12,13,11,12.5\n"
+                "BBB,2001-01-01,4,4,4,0\n"
+                "AAA,2001-01-01,10,11,9,10.5\n"
+                "AAA,2001-01-02,11,11,11,\n")
+        a, b = load_csv(write(tmp_path, body))
+        assert (a.ticker, b.ticker) == ("AAA", "BBB")
+        assert [ts.day for ts in a.timestamps] == [1, 2, 3]
+        np.testing.assert_array_equal(a.open, [10.0, 11.0, 12.0])
+        np.testing.assert_array_equal(a.high, [11.0, 11.0, 13.0])
+        np.testing.assert_array_equal(a.low, [9.0, 11.0, 11.0])
+        np.testing.assert_array_equal(a.close, [10.5, np.nan, 12.5])
+        np.testing.assert_array_equal(a.missing, [False, True, False])
+        np.testing.assert_array_equal(b.close, [0.0, 5.0])
+        np.testing.assert_array_equal(b.missing, [True, False])
+        # Of three rows at one time, the second in file order is named.
+        dup = body + "AAA,2001-01-01,10,10,10,10\nAAA,2001-01-01,9,9,9,9\n"
+        with pytest.raises(DataError, match="^row 7: duplicate timestamp 2001-01-01T00:00:00 "
+                                            "for AAA$"):
+            load_csv(write(tmp_path, dup, name="dup.csv"))
+
     def test_garbled_price_reports_row(self, tmp_path):
         path = tmp_path / "bars.csv"
         path.write_text(HEADER + "AAA,2001-01-01,10,10,10,ten\n")

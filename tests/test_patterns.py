@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -16,7 +21,7 @@ from zeroport.patterns import (
     match,
     sample_moments,
 )
-from conftest import brute_match_times, brute_partition_matches
+from conftest import REPO_ROOT, brute_match_times, brute_partition_matches
 
 
 def random_history(rng, t=None, m=None):
@@ -234,6 +239,20 @@ class TestGenerateControls:
         assert np.all(stacks["absolute"][:, :, 2:] == 0.0)
         assert np.all(stacks["absolute"][-1, :, :2].sum(axis=1) > 0.99)
         assert np.all(engine.controls_numeric(x)[:, :, 2:] == 0.0)
+
+    def test_control_blocks_are_the_series_in_period_order(self, rng):
+        x = random_history(rng, t=75, m=4)
+        cmap = ClusterMap(members=((0, 1), (2, 3)), names=("L", "R"))
+        specs = agent_grid(2, 3, n_clusters=2)
+        series_engine = PatternAgents(specs, 4, clusters=cmap)
+        stacks = series_engine.controls_series(x)
+        engine = PatternAgents(specs, 4, clusters=cmap)
+        blocks = list(engine.control_blocks(x))
+        assert [len(b["active"]) for b in blocks] == [32, 32, 11]
+        for mode in ("absolute", "active"):
+            joined = np.concatenate([b[mode] for b in blocks])
+            assert joined.tobytes() == stacks[mode].tobytes()
+        assert engine.fallback_count == series_engine.fallback_count > 0
 
     @pytest.mark.parametrize("rule", MATCH_RULES)
     def test_numeric_series_equals_per_period_solves(self, rule):
@@ -629,3 +648,21 @@ class TestSolverRetry:
             for mode in modes:
                 np.testing.assert_array_equal(got[mode][t], multi[mode])
         assert count == engine.fallback_count
+
+
+def test_gyorfi_series_leaves_numpy_ma_unloaded():
+    # Segment ends past `levels` rows come from a set, not np.unique, which
+    # imports numpy.ma (about 1.8 MB RSS) on its first call.
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from zeroport.patterns import MatchConfig, PatternAgents, agent_grid
+        x = np.exp(np.random.default_rng(3).normal(0, 0.02, (120, 3)))
+        engine = PatternAgents(agent_grid(2, 4), 3, config=MatchConfig(rule="gyorfi_nn"))
+        engine.controls_series(x)
+        print("numpy.ma" in sys.modules)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"

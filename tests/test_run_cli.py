@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from zeroport import cli, forkpool, marketdata, synth
 from zeroport.baselines import DEFAULT_RESOLUTION
 from zeroport import run as run_module
 from zeroport.fundsep import SolverError
-from zeroport.learner import BankruptcyError, WealthTrack
+from zeroport.learner import BankruptcyError, MixtureRule, WealthTrack, run_backtest
 from zeroport.marketdata import DataError
 from zeroport.run import (
     ConfigError,
@@ -181,6 +182,87 @@ class TestRun:
         summary = run(cfg, outdir=tmp_path)
         assert summary["data"]["tickers"] == ["PAIRA", "PAIRB"]
         assert (tmp_path / "cleaning_report.json").exists()
+
+
+def _ohlc_csv(path, periods=150, tickers=("A1", "A2", "B1", "B2")):
+    """Seeded 5-minute bars, one row per ticker per bar, with a few left out."""
+    rng = np.random.default_rng(5)
+    close = 50.0 * np.exp(np.cumsum(rng.normal(0, 0.01, (periods, len(tickers))), axis=0))
+    open_ = close * np.exp(rng.normal(0, 0.003, close.shape))
+    lines = ["timestamp,ticker,open,high,low,close"]
+    for t in range(periods):
+        stamp = f"2024-03-04T{9 + t // 12:02d}:{5 * (t % 12):02d}:00"
+        for j, name in enumerate(tickers):
+            if (7 * t + j) % 53 == 0:
+                continue
+            o, c = float(open_[t, j]), float(close[t, j])
+            lines.append(f"{stamp},{name},{o!r},{max(o, c)!r},{min(o, c)!r},{c!r}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _stacked_backtest(x, engine, mode, rule=MixtureRule(), **kwargs):
+    """The stacked path: the whole (T, N, M) stack first, then the array learner."""
+    return run_backtest(x, run_module.pattern_controls(x, engine, (mode,))[mode], mode, rule,
+                        **kwargs)
+
+
+class TestStreamedRun:
+    @pytest.mark.parametrize("mode, rule", [("active", "universal"), ("absolute", "eg")])
+    def test_artifacts_equal_the_stacked_path(self, tmp_path, monkeypatch, mode, rule):
+        cfg = config_from_dict({
+            "spec_version": 1,
+            "data": {"kind": "ohlc_csv", "path": str(_ohlc_csv(tmp_path / "bars.csv")),
+                     "convention": "open_to_close"},
+            "mode": mode, "rule": {"name": rule},
+            "grid": {"windows": 3, "levels": 4},
+            "clusters": {"A": ["A1", "A2"], "B": ["B1", "B2"]},
+            "frictions": {"cost_bps": 5.0},
+        })
+        streamed = run(cfg, outdir=tmp_path / "streamed")
+        monkeypatch.setattr(run_module, "_backtest", _stacked_backtest)
+        stacked = run(cfg, outdir=tmp_path / "stacked")
+        for name in ("wealth.csv", "agents.csv", "cleaning_report.json"):
+            assert (tmp_path / "streamed" / name).read_bytes() == \
+                (tmp_path / "stacked" / name).read_bytes(), name
+        assert streamed["data"]["periods"] == 150
+        assert streamed["agent_fallbacks"] == stacked["agent_fallbacks"] > 0
+
+    def test_learner_raising_mid_stream_leaves_no_worker(self, monkeypatch):
+        pools = []
+
+        def failing(x, controls, mode, *args, **kwargs):
+            blocks = iter(controls)
+            next(blocks)
+            next(blocks)
+            pools.append(len(multiprocessing.active_children()))
+            raise RuntimeError("learner failed")
+
+        monkeypatch.setattr(forkpool, "usable_cores", lambda: 2)
+        monkeypatch.setattr(run_module, "run_backtest", failing)
+        cfg = config_from_dict(make_doc(data={"periods": 520}))  # 17 blocks: two workers
+        with pytest.raises(RuntimeError) as excinfo:
+            run(cfg)
+        assert pools == [2]
+        # Checked while the traceback, and every frame on it, is still held.
+        assert multiprocessing.active_children() == []
+        assert str(excinfo.value) == "learner failed"
+
+    def test_run_never_holds_the_control_stack(self, monkeypatch):
+        # Blocks solved in this process, so their work is traced too.
+        monkeypatch.setattr(forkpool, "usable_cores", lambda: 1)
+        t, m, names = 1000, 12, [f"S{i:02d}" for i in range(1, 13)]
+        cfg = config_from_dict(make_doc(
+            data={"assets": m, "periods": t}, mode="active", grid={"windows": 5, "levels": 10},
+            clusters={"A": names[:6], "B": names[6:]}))
+        n_agents = 100
+        tracemalloc.start()
+        try:
+            run(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < t * n_agents * m * 8
 
 
 class TestFrictions:
