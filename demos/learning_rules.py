@@ -13,14 +13,13 @@ import numpy as np
 from zeroport import synth
 from zeroport.learner import MixtureRule, run_backtest
 from zeroport.patterns import MatchConfig, PatternAgents, agent_grid
-from zeroport.run import pattern_controls
 
 market = synth.generate(synth.SynthSpec(case="SDC4", assets=10, periods=600, seed=3))
 print("asset drifts:", synth.asset_means(synth.SynthSpec(case="SDC4", assets=10,
                                                          periods=600, seed=3)))
 
 engine = PatternAgents(agent_grid(5, 10), 10, config=MatchConfig(rule="gyorfi_nn"))
-stacks = pattern_controls(market, engine, ("absolute", "active"))
+stacks = engine.controls_series(market, ("absolute", "active"))
 
 rules = [MixtureRule("universal"), MixtureRule("eg", eta=0.05), MixtureRule("ewma", lam=0.99)]
 print(f"\n{'rule':<12}{'absolute':>12}{'active':>12}")

@@ -59,10 +59,13 @@ def regularize(sigma, eps: float = DEFAULT_RIDGE, assume_deficient=None):
     are known rank-deficient (sample covariances with no more samples than
     assets).  Those provably fail the eigenvalue test, so only the matrices
     it does not flag are tested, in one step: a batched Cholesky factor of
-    ``sigma - eps * trace/M * I`` that succeeds, with finite entries, shows
-    that every one of them clears the floor.  Only when it does not are
+    ``sigma - eps * trace/M * I`` that succeeds shows that every one of
+    them clears the floor.  Only when it does not are
     their smallest eigenvalues computed (``eigvalsh``).  The ridge added is
     identical either way.
+
+    A matrix with a non-finite entry, or whose trace overflows, raises
+    :class:`SolverError`: it has no eigenvalues to test or ridge to add.
     """
     s = np.asarray(sigma, dtype=float)
     if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
@@ -70,6 +73,8 @@ def regularize(sigma, eps: float = DEFAULT_RIDGE, assume_deficient=None):
     s = 0.5 * (s + np.swapaxes(s, -1, -2))
     m = s.shape[-1]
     trace = np.trace(s, axis1=-2, axis2=-1)
+    if not (np.isfinite(trace).all() and np.isfinite(s).all()):
+        raise SolverError("covariance is not finite")
     scale = np.where(trace > 0.0, trace / m, 1.0)
     deficient = False if assume_deficient is None else assume_deficient
     need = np.array(np.broadcast_to(deficient, s.shape[:-2]), dtype=bool)
@@ -77,8 +82,9 @@ def regularize(sigma, eps: float = DEFAULT_RIDGE, assume_deficient=None):
     if np.any(test):
         floor = eps * scale[test]
         shifted = s[test] - floor[:, None, None] * np.eye(m)
-        try:  # a finite factor of s - floor * I: every tested matrix clears the floor
-            clear = np.isfinite(np.linalg.cholesky(shifted)).all()
+        try:  # s - floor * I factors: every tested matrix clears the floor
+            np.linalg.cholesky(shifted)
+            clear = True
         except np.linalg.LinAlgError:
             clear = False
         if not clear:

@@ -620,8 +620,9 @@ class PatternAgents:
         """Controls per mode from one batched fund solve over the agents,
         and a mask of the agents solved.
 
-        Rarely the stacked solve fails; then each agent is solved alone and
-        those that still fail are left out of the mask, keeping the fallback.
+        Rarely the stacked solve fails (some agent's moments are not finite,
+        say); then each agent is solved alone and those that still fail are
+        left out of the mask, keeping the fallback.
         """
         cfg = self.config
 

@@ -4,11 +4,11 @@ A run config is one declarative YAML/JSON document (versioned by
 ``spec_version``); CLI flags override keys one-for-one.  Artifacts per run:
 ``wealth.csv`` (portfolio plus enabled baselines), ``agents.csv`` (per-agent
 wealth), ``summary.json`` (terminal wealths, best agent, runtimes) and,
-for CSV-backed data, ``cleaning_report.json``.  A single run streams the
-engine's control blocks into the learner as they are solved, so it never
-holds the (T, N, M) control stack.  Batch mode sweeps seeds and cases,
-each case-seed running both modes from one stack, then writes the KS
-battery and cross-case tables as ``stats*.csv``.
+for CSV-backed data, ``cleaning_report.json``.  Every backtest streams the
+engine's control blocks into the learner as they are solved, one matching
+pass for all of its modes, so no run holds a (T, N, M) control stack.
+Batch mode sweeps seeds and cases, each case-seed running both modes,
+then writes the KS battery and cross-case tables as ``stats*.csv``.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import csv
+import itertools
 import json
 import math
 import time
@@ -292,18 +293,20 @@ def build_engine(cfg: RunConfig, matrix) -> PatternAgents:
 
 
 def pattern_controls(x, engine: PatternAgents, modes) -> dict:
-    """(T, N, M) control stacks for each mode from one matching pass; for
-    several modes of one history, as :func:`run_case_seed` needs."""
+    """:meth:`PatternAgents.controls_series`; kept only for ``benchmarks/workloads.py``."""
     return engine.controls_series(x, modes)
 
 
-def _backtest(x, engine: PatternAgents, mode: str, rule: MixtureRule = MixtureRule(),
-              **kwargs) -> WealthTrack:
-    """:func:`run_backtest` fed the engine's control blocks as they are
-    solved, so the (T, N, M) stack is never held.  The stream, and any
-    worker pool behind it, is closed when the backtest returns or raises."""
-    with contextlib.closing(engine.control_blocks(x, (mode,))) as blocks:
-        return run_backtest(x, (block[mode] for block in blocks), mode, rule, **kwargs)
+def _backtest(x, engine: PatternAgents, modes: dict, rule: MixtureRule = MixtureRule(),
+              **kwargs) -> dict:
+    """{mode: :func:`run_backtest`} for ``modes``, a {mode: label} mapping, all fed
+    from one stream of the engine's control blocks.  Later modes read the blocks the
+    first buffered, and each mode takes its array out of a block as it reads it.  The
+    stream, and any worker pool behind it, is closed when the backtests return or raise."""
+    with contextlib.closing(engine.control_blocks(x, tuple(modes))) as blocks:
+        return {mode: run_backtest(x, (block.pop(mode) for block in feed), mode, rule,
+                                   label=label, **kwargs)
+                for (mode, label), feed in zip(modes.items(), itertools.tee(blocks, len(modes)))}
 
 
 def apply_frictions(track: WealthTrack, cost_bps: float,
@@ -333,8 +336,8 @@ def run(cfg: RunConfig, outdir=None) -> dict:
     t0 = time.perf_counter()
     matrix = build_dataset(cfg)
     engine = build_engine(cfg, matrix)
-    track = _backtest(matrix, engine, cfg.mode, cfg.rule,
-                      record_agents=cfg.record_agents, label=cfg.mode)
+    track = _backtest(matrix, engine, {cfg.mode: cfg.mode}, cfg.rule,
+                      record_agents=cfg.record_agents)[cfg.mode]
     runtimes = {cfg.mode: time.perf_counter() - t0}
 
     extra_tracks = {}
@@ -404,17 +407,13 @@ def run_case_seed(cfg: RunConfig, case: str, seed: int, modes=MODES):
     cfg_seed = replace(cfg, data=dict(cfg.data, kind="synth", case=case, seed=seed))
     matrix = build_dataset(cfg_seed)
     engine = build_engine(cfg_seed, matrix)
-    stacks = pattern_controls(matrix, engine, modes)
+    tracks = _backtest(matrix, engine, {mode: f"{case}:{mode}" for mode in modes}, cfg.rule)
     _, stock_track = baselines.best_stock(matrix)
     out = {}
-    for mode in modes:
-        track = run_backtest(matrix, stacks[mode], mode, cfg.rule, label=f"{case}:{mode}")
-        best_idx, _ = baselines.best_agent(track)
-        out[mode] = ksstats.RunTriple(
-            portfolio=track.wealth.copy(),
-            best_agent=track.agent_wealth[:, best_idx].copy(),
-            best_stock=stock_track.wealth.copy(),
-        )
+    for mode, track in tracks.items():
+        best_idx, _ = baselines.best_agent(track)  # a copied column frees the agent wealth
+        out[mode] = ksstats.RunTriple(portfolio=track.wealth, best_stock=stock_track.wealth,
+                                      best_agent=track.agent_wealth[:, best_idx].copy())
     return out
 
 
@@ -490,9 +489,9 @@ def nyse_table(data_path, pairs=DEFAULT_PAIRS, resolution=baselines.DEFAULT_RESO
                grid=GridConfig(), outdir=None) -> list:
     """Strategy comparison rows for pairs from a wide relatives file.
 
-    For each pair: absolute and active pattern portfolios (trivial rule),
-    the nearest-neighbour recovery (absolute, gyorfi_nn rule), the grid
-    universal portfolio, and buy-and-hold of the best stock.
+    For each pair: absolute and active pattern portfolios off one trivial-rule matching
+    pass (both report its ``seconds``), the nearest-neighbour recovery (absolute, gyorfi_nn
+    rule), the grid universal portfolio, and buy-and-hold of the best stock.
     """
     _expect(resolution >= 1, "resolution", f"must be an integer >= 1, got {resolution!r}")
     for pair in pairs:
@@ -513,16 +512,16 @@ def nyse_table(data_path, pairs=DEFAULT_PAIRS, resolution=baselines.DEFAULT_RESO
     for pair in pairs:
         sub = marketdata.select_tickers(matrix, list(pair))
         row = {"stocks": "/".join(pair), "strategies": {}}
-        for label, mode, rule in (("absolute", "absolute", "trivial"),
-                                  ("active", "active", "trivial"),
-                                  ("nn_recovery", "absolute", "gyorfi_nn")):
+        for rule, labels in (("trivial", {"absolute": "absolute", "active": "active"}),
+                             ("gyorfi_nn", {"absolute": "nn_recovery"})):
             t0 = time.perf_counter()
             engine = PatternAgents(specs, len(pair), config=MatchConfig(rule=rule))
-            track = _backtest(sub, engine, mode, label=label)
+            tracks = _backtest(sub, engine, labels)
             secs = time.perf_counter() - t0
-            _, best = baselines.best_agent(track)
-            row["strategies"][label] = {"wealth": track.terminal, "best_agent": best,
-                                        "seconds": secs}
+            for track in tracks.values():
+                _, best = baselines.best_agent(track)
+                row["strategies"][track.label] = {"wealth": track.terminal, "best_agent": best,
+                                                  "seconds": secs}
         t0 = time.perf_counter()
         up_track = baselines.universal_portfolio(sub, resolution=resolution)
         row["strategies"]["universal_portfolio"] = {"wealth": up_track.terminal,

@@ -15,6 +15,19 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 NYSE_DIR = REPO_ROOT / "data" / "nyse"
 FIXTURE_DIR = REPO_ROOT / "data" / "fixtures"
 
+# Two tickers of small moves with one relative of 1e200, which overflows the
+# matched moments of every agent that matches its row.
+HUGE_RELATIVES = [[1.0 + 0.01 * ((3 * t) % 5 - 2), 1.0 - 0.01 * ((2 * t) % 3 - 1)]
+                  for t in range(40)]
+HUGE_RELATIVES[20][0] = 1e200
+
+
+def write_relatives_csv(path, rows):
+    """A wide relatives CSV, tickers S0, S1, ..., each value in repr form."""
+    path.write_text(",".join(f"S{j}" for j in range(len(rows[0]))) + "\n"
+                    + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+    return path
+
 
 def pytest_runtest_logreport(report):
     if report.when == "call" and "test_acceptance" in report.nodeid:

@@ -29,7 +29,6 @@ from zeroport.run import (
     apply_frictions,
     batch,
     config_from_dict,
-    pattern_controls,
 )
 from zeroport import baselines
 from conftest import NYSE_DIR, FIXTURE_DIR, brute_match_times, numeric_budget_optimum
@@ -79,7 +78,7 @@ def test_c2_nn_strategy_recovery():
     target_log = math.log(1.01e12)
     t0 = time.monotonic()
     engine = PatternAgents(agent_grid(5, 10), 2, config=MatchConfig(rule="gyorfi_nn"))
-    controls = pattern_controls(pair, engine, ("absolute",))["absolute"]
+    controls = engine.controls_series(pair, ("absolute",))["absolute"]
     track = run_backtest(pair, controls, "absolute", label="nn_recovery")
     elapsed = time.monotonic() - t0
     log_wealth = math.log(track.terminal)
@@ -361,7 +360,7 @@ def test_bundled_pair_fixture_full_pipeline():
     # Exercises the same code paths the proprietary-data tables use.
     matrix = load_relatives_csv(FIXTURE_DIR / "pair_synthetic.csv")
     engine = PatternAgents(agent_grid(5, 10), 2, config=MatchConfig(rule="gyorfi_nn"))
-    stacks = pattern_controls(matrix, engine, ("absolute", "active"))
+    stacks = engine.controls_series(matrix, ("absolute", "active"))
     results = {}
     for mode in ("absolute", "active"):
         track = run_backtest(matrix, stacks[mode], mode)

@@ -4,16 +4,26 @@ Documents start from a small valid synthetic config and get a few keys set
 to values drawn from every YAML type (or, now and then, are replaced
 outright).  The keys come from a list written out here, not from the key
 table under test, plus unknown ones.  A small synthetic run that succeeds
-must keep its mode's control rules in every period.
+must keep its mode's control rules in every period.  Small wide relatives
+CSVs of extreme values through ``zeroport run`` end in an exit code.
 """
 
-import numpy as np
-from hypothesis import HealthCheck, given, settings, strategies as st
+import contextlib
+import io
+import tempfile
+from pathlib import Path
 
+import numpy as np
+import pytest
+import yaml
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from zeroport import cli
 from zeroport.learner import MODES, BankruptcyError, run_backtest
 from zeroport.marketdata import DataError
-from zeroport.run import (ConfigError, build_dataset, build_engine, config_from_dict,
-                          pattern_controls, run)
+from zeroport.patterns import MATCH_RULES
+from zeroport.run import ConfigError, build_dataset, build_engine, config_from_dict, run
+from conftest import HUGE_RELATIVES, write_relatives_csv
 
 KNOWN = [
     "spec_version", "mode", "output", "record_agents", "clusters", "clusters.A", "clusters.B",
@@ -119,7 +129,7 @@ def _assert_control_rules(cfg, tol=1e-12):
     :func:`run` builds them: on the simplex in absolute mode; sum 0 and unit
     L1 leverage, or exactly 0 (cash), in active mode."""
     matrix = build_dataset(cfg)
-    agents = pattern_controls(matrix, build_engine(cfg, matrix), (cfg.mode,))[cfg.mode]
+    agents = build_engine(cfg, matrix).controls_series(matrix, (cfg.mode,))[cfg.mode]
     portfolio = run_backtest(matrix, agents, cfg.mode, cfg.rule).controls
     for name, rows in (("agents", agents), ("portfolio", portfolio)):
         sums, lev = rows.sum(axis=-1), np.abs(rows).sum(axis=-1)
@@ -129,3 +139,38 @@ def _assert_control_rules(cfg, tol=1e-12):
         else:
             assert (np.abs(sums) <= tol).all(), (name, np.abs(sums).max())
             assert ((np.abs(lev - 1.0) <= tol) | (lev == 0.0)).all(), name
+
+
+# 10 ** exponent, so that values spread log-uniformly over 1e-200 .. 1e200.
+EXTREME = st.floats(-200.0, 200.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def relatives_tables(draw):
+    """1-4 tickers by 2-60 rows of relatives, with exact 1.0 rows and rows
+    repeated from elsewhere in the table mixed in."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(2, 60))
+    row = st.lists(EXTREME, min_size=m, max_size=m)
+    rows = draw(st.lists(st.one_of(row, st.just([1.0] * m)), min_size=n, max_size=n))
+    for dst, src in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=n // 2)):
+        rows[dst] = list(rows[src])
+    return rows
+
+
+@settings(PROPERTY, max_examples=40)
+@given(relatives_tables(), st.sampled_from(MODES), st.sampled_from(MATCH_RULES))
+@example(HUGE_RELATIVES, "absolute", "trivial")  # pinned, not left to the search
+@example(HUGE_RELATIVES, "absolute", "gyorfi_nn")
+@example(HUGE_RELATIVES, "active", "gyorfi_nn")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # floats at the edge of their range
+def test_small_relatives_csv_run_ends_in_an_exit_code(rows, mode, rule):
+    with tempfile.TemporaryDirectory() as tmp:
+        data = write_relatives_csv(Path(tmp) / "relatives.csv", rows)
+        config = Path(tmp) / "cfg.yaml"
+        config.write_text(yaml.safe_dump({
+            "spec_version": 1, "data": {"kind": "relatives_csv", "path": str(data)},
+            "mode": mode, "grid": {"windows": 2, "levels": 3}, "matching": {"rule": rule}}))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["run", str(config)])
+    assert code in (0, 2, 3, 4)

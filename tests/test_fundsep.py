@@ -227,18 +227,35 @@ class TestRegularize:
         if below:  # the fallback decomposes only the matrices the mask leaves
             assert calls[0][0] == (np.count_nonzero(~deficient) if masked else len(stack))
 
-    def test_screen_keeps_nonfinite_on_eigvalsh(self):
-        # A NaN matrix may factor without error; it must not pass the screen.
+    def test_screen_keeps_nonfinite_on_eigvalsh(self, monkeypatch):
+        # A NaN matrix may factor without error, and LAPACK builds differ on
+        # whether eigvalsh raises on it: it must reach neither, flagged or not.
         sigma = np.eye(3)
         sigma[0, 0] = np.nan
         stack = np.array([np.eye(3), sigma])
-        try:
-            expected = self._per_matrix_reference(stack, [False, False])
-        except np.linalg.LinAlgError:  # LAPACK builds differ on NaN input
-            with pytest.raises(np.linalg.LinAlgError):
-                fundsep.regularize(stack)
-            return
-        assert fundsep.regularize(stack).tobytes() == expected.tobytes()
+        for name in ("cholesky", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, lambda a, name=name: pytest.fail(name))
+        for flagged in (False, True):
+            with pytest.raises(fundsep.SolverError, match="not finite"):
+                fundsep.regularize(stack, assume_deficient=np.array([False, flagged]))
+
+    @pytest.mark.parametrize("call", ["regularize", "fund_solution", "agent_controls"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_covariance_is_a_solver_error(self, call, bad):
+        sigma = np.eye(3)
+        sigma[1, 2] = bad
+        args = {"regularize": (sigma,), "fund_solution": (np.zeros(3), sigma),
+                "agent_controls": (np.zeros(3), sigma, "absolute")}[call]
+        with pytest.raises(fundsep.SolverError):
+            getattr(fundsep, call)(*args)
+
+    def test_overflowing_trace_is_a_solver_error(self):
+        with np.errstate(over="ignore"), pytest.raises(fundsep.SolverError, match="not finite"):
+            fundsep.regularize(np.diag([8e307, 8e307, 8e307]))  # each entry finite
+
+    def test_non_finite_mean_is_a_solver_error(self):
+        with pytest.raises(fundsep.SolverError, match="non-finite solve"):
+            fundsep.agent_controls(np.array([np.inf, 0.0]), np.eye(2), "active")
 
 
 class TestProjection:

@@ -301,6 +301,27 @@ class TestGenerateControls:
         plain.controls_series(x)
         assert both.fallback_count > plain.fallback_count
 
+    def test_non_finite_moments_fall_back(self, rng):
+        # One matrix of the stacked solve holds a NaN, one an inf, and one mean
+        # an inf: each of those agents falls back, and the others get the bits
+        # of a stack without them.
+        m, n = 3, 6
+        a = rng.normal(size=(n, m, m))
+        covs = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(m)
+        mus = rng.normal(0.0, 0.01, size=(n, m))
+        covs[1, 0, 2] = np.nan
+        covs[3, 1, 1] = np.inf
+        mus[4, 0] = np.inf
+        engine = PatternAgents(agent_grid(2, 3), m)
+        modes = ("absolute", "active")
+        ctrl, ok = engine._map_controls(mus, covs, modes)
+        good = [0, 2, 5]
+        assert ok.tolist() == [i in good for i in range(n)]
+        clean, clean_ok = engine._map_controls(mus[good], covs[good], modes)
+        assert clean_ok.all()
+        for mode in modes:
+            assert ctrl[mode][good].tobytes() == clean[mode].tobytes()
+
     def test_mode_normalization_rows(self, rng):
         x = random_history(rng, t=50, m=3)
         specs = agent_grid(3, 4)

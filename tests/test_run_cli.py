@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 import yaml
 
-from zeroport import cli, forkpool, marketdata, synth
+from zeroport import baselines, cli, forkpool, marketdata, synth
 from zeroport.baselines import DEFAULT_RESOLUTION
 from zeroport import run as run_module
 from zeroport.fundsep import SolverError
-from zeroport.learner import BankruptcyError, MixtureRule, WealthTrack, run_backtest
+from zeroport.learner import MODES, BankruptcyError, MixtureRule, WealthTrack, run_backtest
 from zeroport.marketdata import DataError
+from zeroport.patterns import MatchConfig, PatternAgents, agent_grid
 from zeroport.run import (
     ConfigError,
     GridConfig,
@@ -31,7 +32,7 @@ from zeroport.run import (
     run_case_seed,
 )
 import timing_harness
-from conftest import FIXTURE_DIR, REPO_ROOT
+from conftest import FIXTURE_DIR, HUGE_RELATIVES, REPO_ROOT, write_relatives_csv
 from timing_harness import TimingOrderError, timing_report
 
 BASE_DOC = {
@@ -201,10 +202,11 @@ def _ohlc_csv(path, periods=150, tickers=("A1", "A2", "B1", "B2")):
     return path
 
 
-def _stacked_backtest(x, engine, mode, rule=MixtureRule(), **kwargs):
-    """The stacked path: the whole (T, N, M) stack first, then the array learner."""
-    return run_backtest(x, run_module.pattern_controls(x, engine, (mode,))[mode], mode, rule,
-                        **kwargs)
+def _stacked_backtest(x, engine, modes, rule=MixtureRule(), **kwargs):
+    """The stacked path: whole (T, N, M) stacks first, then the array learner per mode."""
+    stacks = engine.controls_series(x, tuple(modes))
+    return {mode: run_backtest(x, stacks[mode], mode, rule, label=label, **kwargs)
+            for mode, label in modes.items()}
 
 
 class TestStreamedRun:
@@ -245,6 +247,27 @@ class TestStreamedRun:
             run(cfg)
         assert pools == [2]
         # Checked while the traceback, and every frame on it, is still held.
+        assert multiprocessing.active_children() == []
+        assert str(excinfo.value) == "learner failed"
+
+    def test_learner_raising_on_the_second_mode_leaves_no_worker(self, monkeypatch):
+        modes, pools = [], []
+
+        def failing(x, controls, mode, *args, **kwargs):
+            modes.append(mode)
+            if len(modes) == 1:
+                return run_backtest(x, controls, mode, *args, **kwargs)
+            next(iter(controls))
+            pools.append(len(multiprocessing.active_children()))
+            raise RuntimeError("learner failed")
+
+        monkeypatch.setattr(forkpool, "usable_cores", lambda: 2)
+        monkeypatch.setattr(run_module, "run_backtest", failing)
+        cfg = config_from_dict(make_doc(data={"periods": 520}))  # 17 blocks: two workers
+        with pytest.raises(RuntimeError) as excinfo:
+            run_case_seed(cfg, "SDC1", seed=2)
+        assert modes == ["absolute", "active"]
+        assert pools == [2]
         assert multiprocessing.active_children() == []
         assert str(excinfo.value) == "learner failed"
 
@@ -384,6 +407,18 @@ class TestBatch:
         assert len(triple.portfolio) == 60
         assert len(triple.best_stock) == 60
 
+    @pytest.mark.parametrize("rule", ["universal", "eg"])
+    def test_run_case_seed_equals_the_stacked_path(self, monkeypatch, rule):
+        cfg = config_from_dict(make_doc(data={"periods": 150}, rule={"name": rule},
+                                        matching={"rule": "gyorfi_nn"}))
+        streamed = run_case_seed(cfg, "SDC3", seed=5)
+        monkeypatch.setattr(run_module, "_backtest", _stacked_backtest)
+        stacked = run_case_seed(cfg, "SDC3", seed=5)
+        for mode in MODES:
+            for name in ("portfolio", "best_agent", "best_stock"):
+                assert getattr(streamed[mode], name).tobytes() == \
+                    getattr(stacked[mode], name).tobytes(), (mode, name)
+
 
 class TestNyseTable:
     def test_rows_on_bundled_fixture(self, tmp_path):
@@ -397,6 +432,34 @@ class TestNyseTable:
         assert (tmp_path / "nyse_table.csv").exists()
         table = (tmp_path / "nyse_table.csv").read_text()
         assert "PAIRA/PAIRB" in table
+
+    def test_two_matching_passes_equal_three_one_mode_passes(self, monkeypatch):
+        passes, control_blocks = [], PatternAgents.control_blocks
+
+        def counted(engine, history, modes=MODES):
+            passes.append((engine.config.rule, tuple(modes)))
+            return control_blocks(engine, history, modes)
+
+        monkeypatch.setattr(PatternAgents, "control_blocks", counted)
+        pairs, grid = (("PAIRA", "PAIRB"), ("PAIRB", "PAIRA")), GridConfig(windows=2, levels=3)
+        rows = nyse_table(FIXTURE_DIR / "pair_synthetic.csv", pairs=pairs, resolution=40,
+                          grid=grid)
+        assert passes == [("trivial", ("absolute", "active")), ("gyorfi_nn", ("absolute",))] * 2
+        matrix = marketdata.load_relatives_csv(FIXTURE_DIR / "pair_synthetic.csv")
+        specs = agent_grid(grid.windows, grid.levels)
+        for pair, row in zip(pairs, rows):
+            sub = marketdata.select_tickers(matrix, list(pair))
+            for label, mode, rule in (("absolute", "absolute", "trivial"),
+                                      ("active", "active", "trivial"),
+                                      ("nn_recovery", "absolute", "gyorfi_nn")):
+                engine = PatternAgents(specs, 2, config=MatchConfig(rule=rule))
+                track = run_backtest(sub, engine.controls_series(sub, (mode,))[mode], mode)
+                cell = row["strategies"][label]
+                assert cell["wealth"] == track.terminal, label
+                assert cell["best_agent"] == baselines.best_agent(track)[1], label
+        for row in rows:
+            cells = row["strategies"]
+            assert cells["absolute"]["seconds"] == cells["active"]["seconds"]
 
     def test_missing_tickers_is_data_error(self):
         from zeroport.marketdata import DataError
@@ -672,9 +735,9 @@ class TestCli:
 
     def test_table5_grid_too_large_exit_two_before_any_strategy(self, monkeypatch, capsys):
         def never(*args, **kwargs):
-            raise AssertionError("pattern_controls called")
+            raise AssertionError("a strategy ran")
 
-        monkeypatch.setattr(run_module, "pattern_controls", never)
+        monkeypatch.setattr(run_module, "_backtest", never)
         code = cli.main(["table5", str(FIXTURE_DIR / "pair_synthetic.csv"),
                          "--pairs", "PAIRA:PAIRB", "--resolution", "3000000"])
         assert code == 2
@@ -696,6 +759,24 @@ class TestCli:
         assert cli.main(["run", str(config)]) == 3
         assert (f"data error: {data}: a backtest needs at least 2 periods of relatives, got 1"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("rule", ["trivial", "gyorfi_nn"])
+    def test_huge_relative_exit_zero_or_four(self, tmp_path, mode, rule, capsys):
+        # The agents whose moments overflow fall back; no traceback.
+        data = write_relatives_csv(tmp_path / "huge.csv", HUGE_RELATIVES)
+        config = tmp_path / "cfg.yaml"
+        config.write_text(yaml.safe_dump({
+            "spec_version": 1, "data": {"kind": "relatives_csv", "path": str(data)},
+            "mode": mode, "grid": {"windows": 2, "levels": 3}, "matching": {"rule": rule}}))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["run", str(config)])
+        captured = capsys.readouterr()
+        assert code in (0, 4)
+        if code == 0:
+            assert json.loads(captured.out)["agent_fallbacks"] > 0
+        else:
+            assert captured.err.startswith("bankruptcy: ")
 
     def test_table5_one_period_csv_exit_three(self, tmp_path, capsys):
         data = tmp_path / "one.csv"

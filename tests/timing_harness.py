@@ -13,7 +13,7 @@ import numpy as np
 
 from zeroport.learner import run_backtest
 from zeroport.patterns import MatchConfig, PatternAgents, agent_grid
-from zeroport.run import GridConfig, pattern_controls
+from zeroport.run import GridConfig
 
 
 class TimingOrderError(AssertionError):
@@ -25,7 +25,7 @@ def _run_strategy_once(x, specs, matching, strategy):
     if strategy == "numeric":
         controls, mode = engine.controls_numeric(x), "absolute"
     else:
-        controls, mode = pattern_controls(x, engine, (strategy,))[strategy], strategy
+        controls, mode = engine.controls_series(x, (strategy,))[strategy], strategy
     return run_backtest(x, controls, mode, record_agents=False, label=strategy)
 
 
