@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .learner import WealthTrack, run_backtest
+from .learner import BankruptcyError, WealthTrack, _not_positive, run_backtest
 
 DEFAULT_RESOLUTION = 1000
 MAX_POINTS = 2_000_000
@@ -78,12 +78,19 @@ def universal_portfolio(x, resolution: int = DEFAULT_RESOLUTION) -> WealthTrack:
 
 
 def best_stock(x):
-    """Buy-and-hold champion: (asset index, its wealth track); ties -> lowest index."""
+    """Buy-and-hold champion: (asset index, its wealth track); ties -> lowest index.
+
+    As in :func:`learner.run_backtest`, the first period whose wealth is not
+    finite and positive (an underflow to 0, say) raises :class:`BankruptcyError`.
+    """
     x = np.asarray(getattr(x, "values", x), dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("need at least one period of relatives")
     cum = np.cumprod(x, axis=0)
     idx = int(np.argmax(cum[-1]))
+    bad = np.flatnonzero(_not_positive(cum[:, idx]))
+    if bad.size:
+        raise BankruptcyError(int(bad[0]), f"best_stock[{idx}] wealth", float(cum[bad[0], idx]))
     t_total, m = x.shape
     controls = np.zeros((t_total, m))
     controls[:, idx] = 1.0

@@ -386,8 +386,8 @@ def sample_moments(outcomes):
     return mu, cov
 
 
-def _prefix_moments(rows, which, lens, cuts):
-    """Moments of (rows[g, :n] - 1) for every (g, n) in zip(which, lens).
+def _prefix_moments(xw, rows, which, lens, cuts):
+    """Moments of (xw[rows[g, :n]] - 1) for every (g, n) in zip(which, lens).
 
     ``rows`` stacks G outcome-row lists of equal length; ``cuts`` are
     increasing segment ends, every entry of ``lens`` among them.  Each
@@ -395,9 +395,11 @@ def _prefix_moments(rows, which, lens, cuts):
     running sum over segments gives every prefix's sums in O(n m²); the
     denominator is n-1 as in :func:`sample_moments`.  Y is taken about each
     list's first row, so a prefix of identical rows gets an exactly zero
-    covariance.
+    covariance; Y is centred in place in its gathered copy.
     """
-    y = rows - rows[:, :1]
+    y = np.take(xw, rows, axis=0)
+    first = y[:, :1].copy()
+    y -= first
     starts = np.concatenate(([0], cuts[:-1]))
     s1 = np.add.reduceat(y, starts, axis=1)
     s2 = np.empty(s1.shape + s1.shape[-1:])
@@ -410,7 +412,7 @@ def _prefix_moments(rows, which, lens, cuts):
     mus = s1[which, seg] / counts[:, None]
     covs = (s2[which, seg] - counts[:, None, None] * mus[:, :, None] * mus[:, None, :]) \
         / np.maximum(counts - 1.0, 1.0)[:, None, None]
-    return mus + (rows[which, 0] - 1.0), covs
+    return mus + (first[which, 0] - 1.0), covs
 
 
 @dataclass(frozen=True)
@@ -519,7 +521,7 @@ class PatternAgents:
             n = max(key)
             cuts = np.arange(1, n + 1) if n <= self.levels else np.array(sorted(set(key)))
             parts.append((np.concatenate(periods)[which], ids, lens,
-                          *_prefix_moments(xw[rows], which, lens, cuts)))
+                          *_prefix_moments(xw, rows, which, lens, cuts)))
         periods, agents, lens, mus, covs = (np.concatenate(col) for col in zip(*parts))
         return periods, agents, mus, covs, lens <= xw.shape[1]
 
@@ -603,53 +605,50 @@ class PatternAgents:
         """{mode: (periods, agents, controls)} of the agents of cluster w
         solved at history lengths b0 <= t < min(b0 + _SOLVE_CHUNK, t1), for
         ``task`` = (w, b0): one pass of the matching kernel, stacked moments
-        and one fund solve.  A mode keeps only its finite control rows."""
+        and one batched fund solve over the agents with finite moments
+        (:meth:`_map_controls`).  A mode keeps only its finite control rows:
+        an agent not solved keeps the fallback."""
         w, b0 = task
         matched = self._block_moments(xws[w], b0, min(b0 + _SOLVE_CHUNK, t1), w)
         if matched is None:
             return {}
         periods, agents, mus, covs, deficient = matched
-        ctrl, ok = self._map_controls(mus, covs, modes, deficient)
         rows = {}
-        for mode in modes:
-            good = ok & np.isfinite(ctrl[mode]).all(axis=1)
-            rows[mode] = periods[good], agents[good], ctrl[mode][good]
+        for mode, ctrl in self._map_controls(mus, covs, modes, deficient).items():
+            good = np.isfinite(ctrl).all(axis=1)
+            rows[mode] = periods[good], agents[good], ctrl[good]
         return rows
 
-    def _map_controls(self, mu_b, cov_b, modes, deficient=None):
-        """Controls per mode from one batched fund solve over the agents,
-        and a mask of the agents solved.
+    def _map_controls(self, mus, covs, modes, deficient=None):
+        """{mode: controls} of stacked moments, NaN rows for agents not solved.
 
-        Rarely the stacked solve fails (some agent's moments are not finite,
-        say); then each agent is solved alone and those that still fail are
-        left out of the mask, keeping the fallback.
+        One batched fund solve over the agents whose mean and covariance are
+        finite, none if no agent's are; only if it raises
+        :class:`fundsep.SolverError` is each of them solved alone (with the
+        same bits), and an agent that fails alone keeps its NaN rows.
         """
         cfg = self.config
+        out = {mode: np.full(mus.shape, np.nan) for mode in modes}
 
-        def solve(mu, cov, deficient=None):
-            a, b = fundsep.fund_solution(mu, cov, eps=cfg.ridge, assume_deficient=deficient)
-            # An overflowed row is not finite, so it keeps the fallback (_solve_block).
-            with np.errstate(over="ignore", invalid="ignore"):
-                return {mode: fundsep.controls_from_solution(
-                    a, b, mode, gamma=cfg.gamma, projection=cfg.projection,
-                    absolute_tilt=cfg.absolute_tilt) for mode in modes}
+        def solve(idx, assume_deficient=None):
+            a, b = fundsep.fund_solution(mus[idx], covs[idx], eps=cfg.ridge,
+                                         assume_deficient=assume_deficient)
+            with np.errstate(over="ignore", invalid="ignore"):  # overflow: a non-finite row
+                for mode in modes:
+                    out[mode][idx] = fundsep.controls_from_solution(
+                        a, b, mode, gamma=cfg.gamma, projection=cfg.projection,
+                        absolute_tilt=cfg.absolute_tilt)
 
-        ok = np.ones(mu_b.shape[0], dtype=bool)
-        try:
-            return solve(mu_b, cov_b, deficient), ok
-        except fundsep.SolverError:
-            pass
-        out = {mode: np.zeros_like(mu_b) for mode in modes}
-        for i in range(mu_b.shape[0]):
+        finite = np.isfinite(mus).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
+        if finite.any():
+            idx = slice(None) if finite.all() else finite  # a slice copies no moments
             try:
-                row = solve(mu_b[i], cov_b[i])
+                solve(idx, None if deficient is None else deficient[idx])
             except fundsep.SolverError:
-                ok[i] = False
-                log.debug("solver fallback for agent row %d", i)
-                continue
-            for mode in modes:
-                out[mode][i] = row[mode]
-        return out, ok
+                for i in np.flatnonzero(finite):
+                    with contextlib.suppress(fundsep.SolverError):
+                        solve(i)
+        return out
 
     def controls_numeric(self, history):
         """(T, N, M) absolute controls from the numeric growth-optimal solver.

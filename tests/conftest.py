@@ -20,6 +20,9 @@ FIXTURE_DIR = REPO_ROOT / "data" / "fixtures"
 HUGE_RELATIVES = [[1.0 + 0.01 * ((3 * t) % 5 - 2), 1.0 - 0.01 * ((2 * t) % 3 - 1)]
                   for t in range(40)]
 HUGE_RELATIVES[20][0] = 1e200
+# Both tickers' wealth underflows to 0 in the first rows; an active portfolio
+# stays in cash, so only the best-stock baseline goes bankrupt.
+UNDERFLOW_RELATIVES = [[1e-200, 1e-200]] * 3 + HUGE_RELATIVES[:20]
 
 
 def write_relatives_csv(path, rows):

@@ -11,7 +11,7 @@ from zeroport.baselines import (
     best_stock,
     universal_portfolio,
 )
-from zeroport.learner import run_backtest
+from zeroport.learner import BankruptcyError, run_backtest
 
 
 def brute_universal_wealth(x, resolution):
@@ -113,6 +113,17 @@ class TestBestStock:
         _, track = best_stock(x)
         terminals = np.prod(x, axis=0)
         assert track.terminal >= terminals.max() - 1e-12
+
+    def test_underflow_raises_bankruptcy(self):
+        x = np.full((4, 3), 1e-200)
+        with pytest.raises(BankruptcyError, match=r"best_stock\[0\] wealth is 0 at period 1"):
+            best_stock(x)
+
+    def test_overflow_raises_bankruptcy(self):
+        x = np.array([[1.0, 1e200], [1.0, 1e200], [1.0, 0.5]])
+        with np.errstate(over="ignore"), pytest.raises(BankruptcyError) as info:
+            best_stock(x)
+        assert info.value.period == 1 and info.value.culprit == "best_stock[1] wealth"
 
 
 class TestBestAgent:

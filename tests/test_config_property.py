@@ -10,6 +10,7 @@ CSVs of extreme values through ``zeroport run`` end in an exit code.
 
 import contextlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from zeroport.learner import MODES, BankruptcyError, run_backtest
 from zeroport.marketdata import DataError
 from zeroport.patterns import MATCH_RULES
 from zeroport.run import ConfigError, build_dataset, build_engine, config_from_dict, run
-from conftest import HUGE_RELATIVES, write_relatives_csv
+from conftest import HUGE_RELATIVES, UNDERFLOW_RELATIVES, write_relatives_csv
 
 KNOWN = [
     "spec_version", "mode", "output", "record_agents", "clusters", "clusters.A", "clusters.B",
@@ -163,14 +164,23 @@ def relatives_tables(draw):
 @example(HUGE_RELATIVES, "absolute", "trivial")  # pinned, not left to the search
 @example(HUGE_RELATIVES, "absolute", "gyorfi_nn")
 @example(HUGE_RELATIVES, "active", "gyorfi_nn")
+@example(UNDERFLOW_RELATIVES, "active", "trivial")  # the best stock's wealth underflows
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # floats at the edge of their range
 def test_small_relatives_csv_run_ends_in_an_exit_code(rows, mode, rule):
+    # A run that exits 0 prints its summary as strict JSON: no NaN or Infinity.
     with tempfile.TemporaryDirectory() as tmp:
         data = write_relatives_csv(Path(tmp) / "relatives.csv", rows)
         config = Path(tmp) / "cfg.yaml"
         config.write_text(yaml.safe_dump({
             "spec_version": 1, "data": {"kind": "relatives_csv", "path": str(data)},
             "mode": mode, "grid": {"windows": 2, "levels": 3}, "matching": {"rule": rule}}))
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(["run", str(config)])
     assert code in (0, 2, 3, 4)
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+def _reject_constant(name):
+    raise ValueError(f"summary holds {name}, which is not JSON")

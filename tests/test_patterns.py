@@ -301,26 +301,36 @@ class TestGenerateControls:
         plain.controls_series(x)
         assert both.fallback_count > plain.fallback_count
 
-    def test_non_finite_moments_fall_back(self, rng):
-        # One matrix of the stacked solve holds a NaN, one an inf, and one mean
-        # an inf: each of those agents falls back, and the others get the bits
-        # of a stack without them.
-        m, n = 3, 6
+    def test_non_finite_moments_fall_back(self, rng, monkeypatch):
+        # One matrix of the stack holds a NaN, one an inf, and one mean an
+        # inf: those agents get NaN rows and stay out of the one stacked
+        # solve.  A finite mean whose solve overflows fails that call, so each
+        # finite agent is solved alone: that one gets NaN rows, and the others
+        # the bits of the stacked solve without it.
+        m, n = 3, 7
         a = rng.normal(size=(n, m, m))
         covs = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(m)
         mus = rng.normal(0.0, 0.01, size=(n, m))
         covs[1, 0, 2] = np.nan
         covs[3, 1, 1] = np.inf
         mus[4, 0] = np.inf
+        mus[6], covs[6] = 1e308, 1e-10 * np.eye(m)
         engine = PatternAgents(agent_grid(2, 3), m)
         modes = ("absolute", "active")
-        ctrl, ok = engine._map_controls(mus, covs, modes)
+        calls, solve = [], fundsep.fund_solution
+        monkeypatch.setattr(fundsep, "fund_solution",
+                            lambda mu, *args, **kw: calls.append(np.ndim(mu)) or solve(mu, *args, **kw))
+        ctrl = engine._map_controls(mus, covs, modes)
+        assert calls == [2, 1, 1, 1, 1]  # the stack of 0, 2, 5, 6, then each alone
         good = [0, 2, 5]
-        assert ok.tolist() == [i in good for i in range(n)]
-        clean, clean_ok = engine._map_controls(mus[good], covs[good], modes)
-        assert clean_ok.all()
+        clean = engine._map_controls(mus[good], covs[good], modes)
+        assert calls[5:] == [2]
         for mode in modes:
+            assert np.isfinite(ctrl[mode]).all(axis=1).tolist() == [i in good for i in range(n)]
+            assert np.isnan(ctrl[mode][[1, 3, 4, 6]]).all()
             assert ctrl[mode][good].tobytes() == clean[mode].tobytes()
+        engine._map_controls(mus[[1, 3, 4]], covs[[1, 3, 4]], modes)
+        assert len(calls) == 6  # no finite agent, no solve
 
     def test_mode_normalization_rows(self, rng):
         x = random_history(rng, t=50, m=3)
@@ -555,7 +565,7 @@ class TestEngineSelections:
                                config=MatchConfig(rule="gyorfi_nn"))
         calls = []
         monkeypatch.setattr(patterns, "_prefix_moments",
-                            lambda *args: calls.append(args[0].shape) or _prefix_moments(*args))
+                            lambda *args: calls.append(args[1].shape) or _prefix_moments(*args))
         periods, agents, mus, covs, _ = engine._block_moments(x, t0, t1, 0)
         monkeypatch.undo()
         got = {(t, i): (mu, cov) for t, i, mu, cov in zip(periods, agents, mus, covs)}
@@ -572,7 +582,7 @@ class TestEngineSelections:
                     long_lists += 1
                     long_lens.add(tuple(lens))
                 cuts = np.unique(lens) if rows.size > levels else np.arange(1, rows.size + 1)
-                ref = _prefix_moments(x[rows][None], np.zeros_like(lens), lens, cuts)
+                ref = _prefix_moments(x, rows[None], np.zeros_like(lens), lens, cuts)
                 for j, (i, _) in enumerate(group):
                     expected[(t, i)] = (ref[0][j], ref[1][j])
         assert sorted(got) == sorted(expected) and len(got) + unmatched == \
@@ -607,9 +617,9 @@ class TestEngineSelections:
 class TestSolverRetry:
     FAIL = (1, 5, 14, 22)  # agents whose one-agent solve fails too
 
-    def _patch(self, monkeypatch):
+    def _patch(self, monkeypatch, fail=FAIL):
         """Make every stacked fund solve fail, then the retry's one-agent
-        solves of the agents in FAIL; others solve as usual."""
+        solves of the agents in ``fail``; others solve as usual."""
         order, solve, block_moments = [], fundsep.fund_solution, PatternAgents._block_moments
 
         def recording(engine, *args):
@@ -620,7 +630,7 @@ class TestSolverRetry:
         def failing(mu, cov, *args, **kwargs):
             if np.ndim(mu) == 2:
                 raise fundsep.SolverError("stacked solve failed")
-            if order.pop(0) in self.FAIL:  # the retry solves the block's agents in order
+            if order.pop(0) in fail:  # the retry solves the block's agents in order
                 raise fundsep.SolverError("agent solve failed")
             return solve(mu, cov, *args, **kwargs)
 
@@ -669,6 +679,44 @@ class TestSolverRetry:
             for mode in modes:
                 np.testing.assert_array_equal(got[mode][t], multi[mode])
         assert count == engine.fallback_count
+
+    @pytest.mark.parametrize("rule", MATCH_RULES)
+    def test_planted_overflow_one_solve_per_block(self, monkeypatch, rule):
+        # One 1e200 relative makes the moments of the agents that match its
+        # row non-finite.  Each (cluster, block) with matched agents still
+        # makes one fund solve, with the bits and fallbacks of an engine
+        # whose stacked solves all fail, so that every agent is solved alone.
+        plain = synth.generate(synth.SynthSpec(case="SDC3", periods=300, seed=2)).values
+        x = plain.copy()
+        x[100, 3] = 1e200
+        specs, cfg = agent_grid(5, 10), MatchConfig(rule=rule)
+        calls, blocks = [], []
+        solve, block_moments = fundsep.fund_solution, PatternAgents._block_moments
+
+        def recording(engine, *args):
+            matched = block_moments(engine, *args)
+            blocks.append(matched is not None)
+            return matched
+
+        monkeypatch.setattr(PatternAgents, "_block_moments", recording)
+        monkeypatch.setattr(fundsep, "fund_solution",
+                            lambda *args, **kw: calls.append(1) or solve(*args, **kw))
+        engine = PatternAgents(specs, 10, config=cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = engine.controls_series(x)
+        assert len(blocks) == 10 and len(calls) == sum(blocks) > 0
+        monkeypatch.undo()
+        clean = PatternAgents(specs, 10, config=cfg)
+        clean.controls_series(plain)
+        assert engine.fallback_count > clean.fallback_count
+
+        self._patch(monkeypatch, fail=())
+        alone = PatternAgents(specs, 10, config=cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = alone.controls_series(x)
+        assert alone.fallback_count == engine.fallback_count
+        for mode in expected:
+            assert got[mode].tobytes() == expected[mode].tobytes()
 
 
 def test_gyorfi_series_leaves_numpy_ma_unloaded():

@@ -32,7 +32,7 @@ from zeroport.run import (
     run_case_seed,
 )
 import timing_harness
-from conftest import FIXTURE_DIR, HUGE_RELATIVES, REPO_ROOT, write_relatives_csv
+from conftest import FIXTURE_DIR, HUGE_RELATIVES, REPO_ROOT, UNDERFLOW_RELATIVES, write_relatives_csv
 from timing_harness import TimingOrderError, timing_report
 
 BASE_DOC = {
@@ -777,6 +777,23 @@ class TestCli:
             assert json.loads(captured.out)["agent_fallbacks"] > 0
         else:
             assert captured.err.startswith("bankruptcy: ")
+
+    def test_best_stock_underflow_exit_four(self, tmp_path, capsys):
+        # The best stock's wealth underflows to 0 at period 1: exit 4, and no
+        # NaN or Infinity is written anywhere.
+        data = write_relatives_csv(tmp_path / "underflow.csv", UNDERFLOW_RELATIVES)
+        config = tmp_path / "cfg.yaml"
+        config.write_text(yaml.safe_dump({
+            "spec_version": 1, "data": {"kind": "relatives_csv", "path": str(data)},
+            "mode": "active", "grid": {"windows": 2, "levels": 3},
+            "baselines": {"best_stock": True}}))
+        outdir = tmp_path / "out"
+        code = cli.main(["run", str(config), "--output", str(outdir)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == "bankruptcy: best_stock[0] wealth is 0 at period 1\n"
+        assert not outdir.exists()
 
     def test_table5_one_period_csv_exit_three(self, tmp_path, capsys):
         data = tmp_path / "one.csv"
